@@ -7,9 +7,13 @@
 // with anything else; 4 affected nodes sit near the overheating SoC-12
 // column; 6 of them predate the temperature logging.
 #include <cstdio>
+#include <vector>
 
 #include "common/table.hpp"
-#include "resilience/ecc_whatif.hpp"
+#include "common/thread_pool.hpp"
+#include "ecc/engine.hpp"
+#include "ecc/registry.hpp"
+#include "resilience/sdc_isolation.hpp"
 #include "util/campaign_cache.hpp"
 
 int main() {
@@ -20,25 +24,39 @@ int main() {
       "seven >3-bit faults hit otherwise error-free nodes, uncorrelated");
 
   const bench::CampaignData& data = bench::default_data();
-  const resilience::EccWhatIf whatif =
-      resilience::ecc_what_if(data.extraction.faults);
+  std::vector<Word> masks;
+  masks.reserve(data.extraction.faults.size());
+  for (const auto& f : data.extraction.faults) masks.push_back(f.flip_mask());
+  ThreadPool pool(1);
+  const ecc::PopulationResult secded =
+      ecc::evaluate_population(*ecc::make_code("secded72"), masks, pool);
+  const ecc::PopulationResult chipkill =
+      ecc::evaluate_population(*ecc::make_code("chipkill"), masks, pool);
+
+  auto class_total = [&](ecc::PopulationClass c) {
+    return secded.by_class[static_cast<std::size_t>(c)].total();
+  };
+  const std::uint64_t double_bit = class_total(ecc::PopulationClass::kDoubleBit);
+  const std::uint64_t beyond_guarantee =
+      class_total(ecc::PopulationClass::kFewBit) +
+      class_total(ecc::PopulationClass::kManyBit);
 
   std::printf("multi-bit faults                 : %s (paper: 85)\n",
-              format_count(whatif.multibit_faults).c_str());
+              format_count(double_bit + beyond_guarantee).c_str());
   std::printf("double-bit faults                : %s (paper: 76)\n",
-              format_count(whatif.double_bit_faults).c_str());
+              format_count(double_bit).c_str());
   std::printf("faults beyond SECDED guarantee   : %s (paper: 9)\n",
-              format_count(whatif.beyond_secded_guarantee).c_str());
+              format_count(beyond_guarantee).c_str());
 
   TextTable table({"Scheme", "Corrected", "Detected", "Miscorrected",
                    "Undetected", "Silent total"});
-  auto add_scheme = [&](const char* name, const ecc::OutcomeCounts& c) {
-    table.add_row({name, format_count(c.corrected), format_count(c.detected),
-                   format_count(c.miscorrected), format_count(c.undetected),
+  auto add_scheme = [&](const char* name, const ecc::VerdictCounts& c) {
+    table.add_row({name, format_count(c.correct), format_count(c.detect_only),
+                   format_count(c.miscorrect), format_count(c.sdc),
                    format_count(c.silent())});
   };
-  add_scheme("SECDED(72,64)", whatif.secded);
-  add_scheme("Chipkill SSC-DSD", whatif.chipkill);
+  add_scheme("SECDED(72,64)", secded.total());
+  add_scheme("Chipkill SSC-DSD", chipkill.total());
   std::printf("\n%s\n", table.render().c_str());
 
   const auto reports =

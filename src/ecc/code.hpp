@@ -1,21 +1,21 @@
 // The pluggable ECC evaluation interface (ROADMAP item 1).
 //
 // The paper's counterfactual — "what would a protected system have seen?"
-// (Sections III-C/D) — was originally answered by a fixed mask classifier
-// (ecc/outcome.hpp).  This header turns the question into real coding
-// theory: a Code encodes data, an evaluator injects an error pattern, the
-// code decodes, and the verdict is decided by comparing the decoded data
-// with the truth.  Everything the study injects is a *bit-flip pattern*,
-// and every implemented code is linear, so the verdict of a pattern is
-// independent of the data word it lands on: evaluate() takes only the
-// flipped codeword-bit positions.  That is what makes exhaustive
+// (Sections III-C/D) — is answered by real coding theory: a Code encodes
+// data, an evaluator injects an error pattern, the code decodes, and the
+// verdict is decided by comparing the decoded data with the truth.
+// Everything the study injects is a *bit-flip pattern*, and every
+// implemented code is linear, so the verdict of a pattern is independent
+// of the data word it lands on: evaluate() takes only the flipped
+// codeword-bit positions.  That is what makes exhaustive
 // enumeration of C(n,k) patterns (engine.hpp) affordable at billions of
 // trials — no codeword buffers, just syndrome arithmetic per pattern.
 //
 // Codeword geometry convention: bit positions [0, data_bits) are the data
-// bits (fault masks embed at position 0 upward, matching outcome.hpp's
-// "scanner word in the low bits, upper bits clean" convention), positions
-// [data_bits, codeword_bits) are check/EDC bits.
+// bits, positions [data_bits, codeword_bits) are check/EDC bits.  The
+// study's 32-bit scanner fault masks embed at position 0 upward with the
+// upper data bits clean, which is conservative: extra clean bits never
+// mask an error.
 #pragma once
 
 #include <cstdint>

@@ -142,7 +142,7 @@ PopulationResult evaluate_population(const Code& code,
                                      std::span<const Word> masks,
                                      ThreadPool& pool) {
   // Scanner masks occupy 32 bits; the code's data field must hold them.
-  UNP_REQUIRE(code.geometry().data_bits >= 32);
+  UNP_REQUIRE(code.geometry().data_bits >= kPopulationWordBits);
 
   PopulationResult result;
   result.code = std::string(code.name());

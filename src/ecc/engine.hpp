@@ -110,9 +110,14 @@ struct PopulationResult {
                          const PopulationResult&) = default;
 };
 
+/// Scanner fault masks are 32-bit words; a code must carry at least this
+/// many data bits to replay them.
+inline constexpr int kPopulationWordBits = 32;
+
 /// Replay extracted fault flip-masks through the code.  Masks embed at
-/// codeword bit 0 upward (the scanner-word convention shared with
-/// ecc/outcome.hpp); zero masks (no corruption) are skipped.  The tally is
+/// codeword bit 0 upward (the scanner-word convention of code.hpp); zero
+/// masks (no corruption) are skipped.  Requires
+/// code.geometry().data_bits >= kPopulationWordBits.  The tally is
 /// additive, so results are thread-count invariant.
 [[nodiscard]] PopulationResult evaluate_population(const Code& code,
                                                    std::span<const Word> masks,

@@ -5,6 +5,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
 
@@ -192,8 +195,32 @@ TEST(EccCli, StoreExcludesLivePipelineFlags) {
   EXPECT_EQ(run(kEcc + " --population --store x.unpf --seed 5"), 2);
 }
 
-TEST(EccCli, CheckClassifierRequiresPopulation) {
-  EXPECT_EQ(run(kEcc + " --check-classifier --exhaustive 2"), 2);
+TEST(EccCli, NarrowCodeIsRefusedBeforeAnyPopulationRun) {
+  // A code whose data field cannot hold a 32-bit scanner word is refused
+  // during option validation: named error, nothing on stdout, and no
+  // campaign simulated (the fresh cache directory stays empty).
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "unp_ecc_narrow_code";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "cache");
+  for (const char* mode : {"--population", "--sweep"}) {
+    const std::string command =
+        kEcc + " --code hamming:8 " + mode + " --cache-dir " +
+        (dir / "cache").string() + " >" + (dir / "out").string() + " 2>" +
+        (dir / "err").string();
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_NE(WEXITSTATUS(status), 0) << command;
+    EXPECT_EQ(std::filesystem::file_size(dir / "out"), 0u) << command;
+    std::ifstream err_file(dir / "err");
+    const std::string err((std::istreambuf_iterator<char>(err_file)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_NE(err.find("hamming:8 has 8 data bits"), std::string::npos) << err;
+    EXPECT_TRUE(std::filesystem::is_empty(dir / "cache")) << command;
+  }
+  // Exhaustive enumeration has no word-width requirement.
+  EXPECT_EQ(run(kEcc + " --code hamming:8 --exhaustive 2"), 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EccCli, MissingStoreFileExitsTwo) {

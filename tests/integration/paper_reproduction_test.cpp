@@ -15,8 +15,11 @@
 #include "analysis/grouping.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/regime.hpp"
-#include "resilience/ecc_whatif.hpp"
+#include "common/thread_pool.hpp"
+#include "ecc/engine.hpp"
+#include "ecc/registry.hpp"
 #include "resilience/quarantine.hpp"
+#include "resilience/sdc_isolation.hpp"
 #include "sim/campaign.hpp"
 
 namespace unp {
@@ -276,14 +279,23 @@ TEST(PaperQuarantine, TableII) {
 
 TEST(PaperSdc, SectionIIID) {
   const Pipeline& p = pipeline();
-  const resilience::EccWhatIf whatif =
-      resilience::ecc_what_if(p.extraction.faults);
+  std::vector<Word> masks;
+  for (const auto& f : p.extraction.faults) masks.push_back(f.flip_mask());
+  ThreadPool pool(1);
+  const ecc::PopulationResult secded =
+      ecc::evaluate_population(*ecc::make_code("secded72"), masks, pool);
+  const auto at = [&](ecc::PopulationClass c) -> const ecc::VerdictCounts& {
+    return secded.by_class[static_cast<std::size_t>(c)];
+  };
   // "The other 9 memory errors corrupted more than 2 bits".
-  EXPECT_NEAR(static_cast<double>(whatif.beyond_secded_guarantee), 9.0, 6.0);
+  EXPECT_NEAR(static_cast<double>(at(ecc::PopulationClass::kFewBit).total() +
+                                  at(ecc::PopulationClass::kManyBit).total()),
+              9.0, 6.0);
   // SECDED corrects the single-bit mass and detects the doubles.
-  EXPECT_GT(whatif.secded.corrected, 40000u);
-  EXPECT_GT(whatif.secded.detected, 30u);
-  EXPECT_GT(whatif.secded.silent() + whatif.secded.detected, 0u);
+  const ecc::VerdictCounts total = secded.total();
+  EXPECT_GT(total.correct, 40000u);
+  EXPECT_GT(total.detect_only, 30u);
+  EXPECT_GT(total.silent() + total.detect_only, 0u);
 
   // The seven >3-bit faults sit on otherwise error-free nodes.
   const auto reports = resilience::sdc_isolation_report(p.extraction.faults, 4);

@@ -1,10 +1,10 @@
-// Page retirement, checkpoint adaptation and the ECC what-if analysis.
+// Page retirement, checkpoint adaptation and the SDC isolation analysis.
 #include <gtest/gtest.h>
 
 #include "common/require.hpp"
 #include "resilience/checkpoint.hpp"
-#include "resilience/ecc_whatif.hpp"
 #include "resilience/page_retirement.hpp"
+#include "resilience/sdc_isolation.hpp"
 
 namespace unp::resilience {
 namespace {
@@ -118,23 +118,7 @@ TEST(Checkpoint, AdaptivePolicyWinsUnderBimodalRegimes) {
   EXPECT_GT(cmp.improvement(), 0.1);
 }
 
-TEST(EccWhatIf, CountsPerScheme) {
-  std::vector<FaultRecord> faults{
-      fault({1, 1}, 100, 0),                                     // single bit
-      fault({1, 1}, 200, 64, 0xFFFFFFFFu, 0xFFFF7BFFu),          // double
-      fault({1, 1}, 300, 128, 0xFFFFFFFFu, 0xFFFFFF0Fu),         // 4-bit nibble
-  };
-  const EccWhatIf result = ecc_what_if(faults);
-  EXPECT_EQ(result.multibit_faults, 2u);
-  EXPECT_EQ(result.double_bit_faults, 1u);
-  EXPECT_EQ(result.beyond_secded_guarantee, 1u);
-  EXPECT_EQ(result.secded.corrected, 1u);
-  EXPECT_GE(result.secded.detected, 1u);
-  // The aligned-nibble fault is chipkill-correctable.
-  EXPECT_EQ(result.chipkill.corrected, 2u);
-}
-
-TEST(EccWhatIf, IsolationReportFindsQuietNodes) {
+TEST(SdcIsolation, ReportFindsQuietNodes) {
   std::vector<FaultRecord> faults{
       fault({1, 1}, 100, 0, 0xFFFFFFFFu, 0xFFFFFF0Fu),  // 4-bit, isolated
       fault({2, 2}, 5000000, 0),                        // unrelated, far away
