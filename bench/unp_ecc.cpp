@@ -5,7 +5,10 @@
 //
 //   --exhaustive K   enumerate EVERY error pattern of weight 1..K over each
 //                    selected code's codeword and tabulate the verdicts —
-//                    the code's complete multi-bit-upset characterization;
+//                    the code's complete multi-bit-upset characterization.
+//                    Pattern counts are checked before anything prints:
+//                    over the default menu a code past the limit is skipped
+//                    with a note on stderr; a --code past it exits 2;
 //   --population     replay the campaign's extracted fault masks through
 //                    each code, tallied per corruption-multiplicity class
 //                    (faults come from --store, else the live pipeline);
@@ -61,7 +64,8 @@ void usage(std::FILE* out) {
       "                     hamming:D | hsiao:D[/K] | bch:D/T |\n"
       "                     large:512B|1KB|4KB[/T]\n"
       "  --exhaustive K     enumerate all error patterns of weight 1..K\n"
-      "                     (refused when the pattern count is intractable)\n"
+      "                     (an intractable default code is skipped, an\n"
+      "                     intractable --code refused)\n"
       "  --population       replay extracted fault masks through each code\n"
       "  --sweep            default codes, --exhaustive 3 + --population\n"
       "  --store PATH       fault source for --population: a UNPF store\n"
@@ -174,32 +178,55 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 /// for one code is refused with the estimate instead of running for hours.
 constexpr std::uint64_t kMaxExhaustivePatterns = 2'000'000'000ULL;
 
-int run_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
-                   int max_weight, ThreadPool& pool) {
+/// Patterns of weight 1..max_weight over `code`'s codeword, saturating.
+std::uint64_t exhaustive_workload(const ecc::Code& code, int max_weight) {
+  const int n = code.geometry().codeword_bits;
+  std::uint64_t workload = 0;
+  for (int k = 1; k <= max_weight; ++k) {
+    const std::uint64_t patterns = ecc::binomial(n, k);
+    workload = patterns == UINT64_MAX ? UINT64_MAX
+                                      : std::max(workload + patterns, workload);
+  }
+  return workload;
+}
+
+/// The codes --exhaustive enumerates, checked before anything is printed.
+/// Over the default menu an intractable code is skipped with a note; a code
+/// named with --code is enumerated as asked or refuses the whole run
+/// (returns false, nothing on stdout).
+bool select_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
+                       int max_weight, bool default_menu,
+                       std::vector<const ecc::Code*>& selected) {
+  for (const auto& code : codes) {
+    const std::uint64_t workload = exhaustive_workload(*code, max_weight);
+    if (workload <= kMaxExhaustivePatterns) {
+      selected.push_back(code.get());
+      continue;
+    }
+    std::fprintf(stderr,
+                 "unp_ecc: %s exhaustive K=%d for %s: ~%llu patterns "
+                 "(limit %llu); %s\n",
+                 default_menu ? "skipping" : "refusing", max_weight,
+                 std::string(code->name()).c_str(),
+                 static_cast<unsigned long long>(workload),
+                 static_cast<unsigned long long>(kMaxExhaustivePatterns),
+                 default_menu ? "name it with --code and a lower K to enumerate it"
+                              : "lower K or pick a shorter code");
+    if (!default_menu) return false;
+  }
+  return true;
+}
+
+void run_exhaustive(const std::vector<const ecc::Code*>& codes, int max_weight,
+                   ThreadPool& pool) {
   bench::print_header(
       "ECC evaluation engine - exhaustive multi-bit-upset enumeration",
       "every C(n,k) error pattern per code for k<=" +
           std::to_string(max_weight) +
           "; verdict = real decode vs injected truth");
 
-  for (const auto& code : codes) {
+  for (const ecc::Code* code : codes) {
     const ecc::CodeGeometry geom = code->geometry();
-    std::uint64_t workload = 0;
-    for (int k = 1; k <= max_weight; ++k) {
-      const std::uint64_t patterns = ecc::binomial(geom.codeword_bits, k);
-      workload = patterns == UINT64_MAX ? UINT64_MAX
-                                        : std::max(workload + patterns, workload);
-    }
-    if (workload > kMaxExhaustivePatterns) {
-      std::fprintf(stderr,
-                   "unp_ecc: refusing exhaustive K=%d for %s: ~%llu patterns "
-                   "(limit %llu); lower K or pick a shorter code\n",
-                   max_weight, std::string(code->name()).c_str(),
-                   static_cast<unsigned long long>(workload),
-                   static_cast<unsigned long long>(kMaxExhaustivePatterns));
-      return 2;
-    }
-
     const auto t0 = std::chrono::steady_clock::now();
     const ecc::ExhaustiveResult result =
         ecc::evaluate_exhaustive(*code, max_weight, pool);
@@ -229,7 +256,6 @@ int run_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
                  result.code.c_str(), run_ms,
                  static_cast<unsigned long long>(result.total_patterns()));
   }
-  return 0;
 }
 
 int run(const Options& opts) {
@@ -241,8 +267,11 @@ int run(const Options& opts) {
   ThreadPool pool(opts.threads);
 
   if (opts.exhaustive_weight > 0) {
-    const int rc = run_exhaustive(codes, opts.exhaustive_weight, pool);
-    if (rc != 0) return rc;
+    std::vector<const ecc::Code*> selected;
+    if (!select_exhaustive(codes, opts.exhaustive_weight, opts.codes.empty(),
+                           selected))
+      return 2;
+    run_exhaustive(selected, opts.exhaustive_weight, pool);
   }
 
   if (!opts.population) return 0;

@@ -232,16 +232,7 @@ bool replay_cached_stream(const std::string& path, std::uint64_t fingerprint,
   if (!is.good()) return false;
   try {
     read_cache_header(is, fingerprint);
-    telemetry::ArchiveReader reader(is);
-    sink.begin_campaign(reader.window());
-    cluster::NodeId node{};
-    telemetry::NodeLog log;
-    while (reader.next(node, log)) {
-      sink.begin_node(node);
-      telemetry::replay_node_log(log, sink);
-      sink.end_node(node);
-    }
-    sink.end_campaign();
+    telemetry::ArchiveReader(is).drain(sink);
   } catch (const ContractViolation&) {
     return false;
   }

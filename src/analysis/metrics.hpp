@@ -147,7 +147,8 @@ struct HeadlineStats {
 /// Record-level analyzer: every product the figures read from the raw
 /// archive (Figs 1, 2, 9 and the headline scan totals), computed in one pass
 /// over the record stream without materializing a CampaignArchive.  Only
-/// START/END records are buffered, one node at a time.
+/// START/END records are buffered, one node at a time; a node delivered in
+/// bulk (on_node_log) is read in place with nothing buffered.
 class ScanProfileSink final : public telemetry::RecordSink {
  public:
   ScanProfileSink();
@@ -159,6 +160,7 @@ class ScanProfileSink final : public telemetry::RecordSink {
   void on_end(const telemetry::EndRecord& r) override;
   void on_alloc_fail(const telemetry::AllocFailRecord& /*r*/) override {}
   void on_error_run(const telemetry::ErrorRun& /*r*/) override {}
+  void on_node_log(telemetry::EncodedNodeLog& log) override;
 
   [[nodiscard]] const CampaignWindow& window() const noexcept { return window_; }
   [[nodiscard]] const Grid2D& hours_grid() const noexcept { return hours_; }
@@ -179,6 +181,9 @@ class ScanProfileSink final : public telemetry::RecordSink {
   double total_tbh_ = 0.0;
   int monitored_nodes_ = 0;
   telemetry::NodeLog pending_;  ///< starts/ends of the node being streamed
+  bool bulk_ = false;           ///< current node already added by on_node_log
+
+  void add_node(cluster::NodeId node, const telemetry::NodeLog& log);
 };
 
 /// Fig 3 incrementally.

@@ -40,26 +40,68 @@ void StreamingExtractor::on_error_run(const telemetry::ErrorRun& r) {
 }
 
 void StreamingExtractor::end_node(cluster::NodeId node) {
-  collapse_pending(static_cast<std::size_t>(cluster::node_index(node)));
+  const auto index = static_cast<std::size_t>(cluster::node_index(node));
+  if (!defers(index)) collapse_pending(index);
+}
+
+void StreamingExtractor::on_node_log(telemetry::EncodedNodeLog& enc) {
+  UNP_REQUIRE(!finished_);
+  const telemetry::NodeLog& log = enc.log();
+  const auto index = static_cast<std::size_t>(cluster::node_index(enc.node()));
+  const std::uint64_t raw = log.raw_error_count();
+  sessions_ += log.starts().size();
+  raw_per_node_[index] += raw;
+  raw_total_ += raw;
+  if (log.error_runs().empty()) return;
+
+  // end_node collapses (or defers) whatever is pending; the producer's log
+  // need not outlive this call, so those cases take one bulk copy.  Only a
+  // node with no buffered runs, no observer and no deferral collapses here,
+  // straight from the producer's log.
+  if (observer_ || defers(index) || !pending_[index].error_runs().empty()) {
+    pending_[index].add_error_runs(log.error_runs());
+    return;
+  }
+  collapse_into(index, log);
+}
+
+bool StreamingExtractor::defers(std::size_t index) const noexcept {
+  return !observer_ && raw_per_node_[index] >= config_.pathological_min_raw;
+}
+
+std::size_t StreamingExtractor::pending_runs() const noexcept {
+  std::size_t runs = 0;
+  for (const auto& log : pending_) runs += log.error_runs().size();
+  return runs;
 }
 
 void StreamingExtractor::collapse_pending(std::size_t index) {
   telemetry::NodeLog& log = pending_[index];
   if (log.error_runs().empty()) return;
+  collapse_into(index, log);
+  log = telemetry::NodeLog{};  // free the raw runs mid-stream
+}
+
+void StreamingExtractor::collapse_into(std::size_t index,
+                                       const telemetry::NodeLog& log) {
   const cluster::NodeId node = cluster::node_from_index(static_cast<int>(index));
   auto faults = collapse_node_log(node, log, config_.merge_window_s);
   if (observer_) observer_(node, faults);
   auto& bucket = collapsed_[index];
   bucket.insert(bucket.end(), faults.begin(), faults.end());
-  log = telemetry::NodeLog{};  // free the raw runs mid-stream
 }
 
 ExtractionResult StreamingExtractor::finish() {
   UNP_REQUIRE(!finished_);
   finished_ = true;
 
-  // Collapse anything streamed without an end_node frame (e.g. ad-hoc use).
-  for (std::size_t i = 0; i < pending_.size(); ++i) collapse_pending(i);
+  // Runs still pending belong to deferred nodes or were streamed without an
+  // end_node frame (e.g. ad-hoc use).  The observer must see every node, so
+  // with one set they all collapse now; without one, each collapses below
+  // only if the filter keeps its node.
+  if (observer_) {
+    for (std::size_t i = 0; i < pending_.size(); ++i) collapse_pending(i);
+  }
 
   // Mirror extract_faults exactly: node-index order, campaign-wide
   // pathological filter, then the global deterministic sort.
@@ -78,8 +120,10 @@ ExtractionResult StreamingExtractor::finish() {
       result.removed_nodes.push_back(
           cluster::node_from_index(static_cast<int>(i)));
       result.removed_raw_logs += raw;
+      pending_[i] = telemetry::NodeLog{};  // dropped uncollapsed
       continue;
     }
+    collapse_pending(i);
     result.faults.insert(result.faults.end(), collapsed_[i].begin(),
                          collapsed_[i].end());
   }

@@ -80,10 +80,13 @@ void simulate_transient(const sched::ScanSession& session, const FaultEvent& ev,
   }
 }
 
-/// Emit the run-length logs of a stuck fault over one session.
-void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
-                    cluster::NodeId node, const SessionSimConfig& config,
-                    const TempSampler& temp, NodeLog& log) {
+/// Walk the logs a stuck fault produces over one session, in emission
+/// order, calling emit(word, check, expected, observed, run_period_s, count)
+/// once per run.  simulate_stuck turns each into an ErrorRun (sampling its
+/// temperature); error_run_bound only counts them.
+template <typename Emit>
+void for_each_stuck_run(const sched::ScanSession& session, const FaultEvent& ev,
+                        const SessionSimConfig& config, Emit&& emit) {
   const Pattern pattern(session.pattern);
   const TimePoint start = session.window.start;
   const std::int64_t period = session.pass_period_s;
@@ -122,14 +125,8 @@ void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
         if ((i % 2 == 0) != (parity == 0)) ++i;
         if (i > last_check) continue;
         const std::uint64_t count = (last_check - i) / 2 + 1;
-
-        ErrorRun run;
-        run.first = make_error(start + static_cast<std::int64_t>(i) * period,
-                               node, wf.word_index, phase_expected, observed,
-                               temp);
-        run.period_s = count > 1 ? 2 * period : 0;
-        run.count = count;
-        log.add_error_run(run);
+        emit(wf, i, phase_expected, observed, count > 1 ? 2 * period : 0,
+             count);
       }
     } else {
       // Counter pattern: expected changes every check.
@@ -138,11 +135,7 @@ void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
         for (std::uint64_t i = first_check; i <= last_check; ++i) {
           const Word expected = pattern.written_at(i - 1);
           const Word observed = wf.corruption.apply(expected);
-          if (observed != expected) {
-            log.add_error(make_error(start + static_cast<std::int64_t>(i) * period,
-                                     node, wf.word_index, expected, observed,
-                                     temp));
-          }
+          if (observed != expected) emit(wf, i, expected, observed, 0, 1);
         }
       } else {
         // Long-run approximation: a discharge fault collides with almost
@@ -151,16 +144,57 @@ void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
         const Word expected = pattern.written_at(first_check - 1);
         const Word observed = wf.corruption.apply(expected);
         if (observed == expected) continue;
-        ErrorRun run;
-        run.first = make_error(
-            start + static_cast<std::int64_t>(first_check) * period, node,
-            wf.word_index, expected, observed, temp);
-        run.period_s = checks > 1 ? period : 0;
-        run.count = checks;
-        log.add_error_run(run);
+        emit(wf, first_check, expected, observed, checks > 1 ? period : 0,
+             checks);
       }
     }
   }
+}
+
+/// Emit the run-length logs of a stuck fault over one session.
+void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
+                    cluster::NodeId node, const SessionSimConfig& config,
+                    const TempSampler& temp, NodeLog& log) {
+  const TimePoint start = session.window.start;
+  const std::int64_t period = session.pass_period_s;
+  for_each_stuck_run(
+      session, ev, config,
+      [&](const faults::WordFault& wf, std::uint64_t check, Word expected,
+          Word observed, std::int64_t run_period_s, std::uint64_t count) {
+        ErrorRun run;
+        run.first = make_error(start + static_cast<std::int64_t>(check) * period,
+                               node, wf.word_index, expected, observed, temp);
+        run.period_s = run_period_s;
+        run.count = count;
+        log.add_error_run(run);
+      });
+}
+
+/// True when stuck fault `ev` overlaps `session` (simulate_stuck's caller
+/// filter).
+bool overlaps(const FaultEvent& ev, const sched::ScanSession& session) {
+  return ev.time < session.window.end && ev.active_until > session.window.start;
+}
+
+/// Error runs simulate_node_core appends for `plan`, counted without
+/// sampling any temperature: exact for stuck faults, one per word for
+/// transients (an upper bound: a transient outside every session, or
+/// invisible under the pattern, logs nothing).  Reserving it sizes the run
+/// vector once instead of regrowing it by doubling, which copies and
+/// re-touches every page of the pathological node's two million runs.
+std::size_t error_run_bound(const SessionSimConfig& config,
+                            const sched::ScanPlan& plan,
+                            std::span<const FaultEvent* const> transients,
+                            std::span<const FaultEvent* const> stucks) {
+  std::size_t runs = 0;
+  for (const FaultEvent* ev : transients) runs += ev->words.size();
+  for (const auto& session : plan.sessions) {
+    for (const FaultEvent* ev : stucks) {
+      if (overlaps(*ev, session))
+        for_each_stuck_run(session, *ev, config, [&](const auto&...) { ++runs; });
+    }
+  }
+  return runs;
 }
 
 }  // namespace
@@ -201,11 +235,13 @@ void simulate_node_core(const SessionSimConfig& config, cluster::NodeId node,
   for (const auto& failure : plan.failures) {
     log.add_alloc_fail({failure.time, node});
   }
+  log.reserve_error_runs(error_run_bound(config, plan, transients, stucks));
 
   std::size_t next_transient = 0;
   for (const auto& session : plan.sessions) {
     log.add_start({session.window.start, node, session.allocated_bytes,
                    temp.at(session.window.start)});
+    const std::size_t session_runs = log.error_runs().size();
 
     // Transients before this session fell into busy (job-owned) time and
     // were never observable; skip them.
@@ -220,11 +256,14 @@ void simulate_node_core(const SessionSimConfig& config, cluster::NodeId node,
     }
 
     for (const FaultEvent* ev : stucks) {
-      if (ev->time < session.window.end &&
-          ev->active_until > session.window.start) {
+      if (overlaps(*ev, session))
         simulate_stuck(session, *ev, node, config, temp, log);
-      }
     }
+    // Every run of this session lies inside its window, and sessions are
+    // time-ordered, so sorting each session's runs as it closes leaves the
+    // whole vector sorted: sort_by_time() below skips the global sort, and
+    // the order is the same (see NodeLog::sort_error_runs_from).
+    log.sort_error_runs_from(session_runs);
 
     if (!session.end_lost) {
       log.add_end({session.window.end, node, temp.at(session.window.end)});

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -24,6 +25,10 @@ class NodeLog {
   void add_alloc_fail(const AllocFailRecord& r) { alloc_fails_.push_back(r); }
   void add_error_run(const ErrorRun& r) { error_runs_.push_back(r); }
   void add_error(const ErrorRecord& r) { error_runs_.push_back(ErrorRun{r, 0, 1}); }
+  /// Append a block of runs in one insert (bulk copy of another log's runs).
+  void add_error_runs(std::span<const ErrorRun> runs) {
+    error_runs_.insert(error_runs_.end(), runs.begin(), runs.end());
+  }
 
   // Capacity hints for decoders that know record counts up front.
   void reserve_starts(std::size_t n) { starts_.reserve(starts_.size() + n); }
@@ -53,7 +58,17 @@ class NodeLog {
   [[nodiscard]] double terabyte_hours() const noexcept;
 
   /// Sort all record vectors by time (builders normally append in order).
+  /// Stable: records sharing a timestamp keep their stored order.
   void sort_by_time();
+
+  /// Stable-sort only the error runs at positions [first, end) by time.
+  /// A producer that appends runs in batches whose time ranges do not
+  /// overlap (one scan session at a time) sorts each batch as it closes;
+  /// sort_by_time() then finds the runs sorted and skips its global sort.
+  /// A stable sort of a range never moves a run past one outside it, so
+  /// for any batches, batch sorts followed by sort_by_time() give the same
+  /// order as one global stable sort.
+  void sort_error_runs_from(std::size_t first);
 
   [[nodiscard]] bool empty() const noexcept {
     return starts_.empty() && ends_.empty() && alloc_fails_.empty() &&

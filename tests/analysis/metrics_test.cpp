@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <random>
+#include <string>
+
+#include "telemetry/kernels/kernels.hpp"
 
 namespace unp::analysis {
 namespace {
@@ -175,6 +180,87 @@ TEST(Headline, ComputesRates) {
   EXPECT_DOUBLE_EQ(stats.node_mtbf_hours, 100.0);
   EXPECT_DOUBLE_EQ(stats.cluster_mtbe_minutes,
                    static_cast<double>(w.duration_seconds()) / 60.0);
+}
+
+// Bit-for-bit double equality: the bulk path must run the same
+// floating-point arithmetic in the same order as the per-record path.
+void expect_same_bits(double a, double b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << a << " vs " << b;
+}
+
+void expect_same_grid(const Grid2D& a, const Grid2D& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c) expect_same_bits(a.at(r, c), b.at(r, c));
+}
+
+TEST(ScanProfileSink, BulkAndPerRecordDeliveryAreBitIdentical) {
+  // Random sessions on 80 nodes: odd lengths that straddle local-day
+  // boundaries, varied allocations, some ENDs lost (hard reboots), plus
+  // error runs and alloc failures the sink must ignore.
+  telemetry::CampaignArchive archive;
+  const CampaignWindow w = archive.window();
+  std::mt19937_64 gen(42);
+  for (int k = 0; k < 80; ++k) {
+    const cluster::NodeId node = cluster::node_from_index(
+        static_cast<int>(gen() % static_cast<std::uint64_t>(cluster::kStudyNodeSlots)));
+    telemetry::NodeLog& log = archive.log(node);
+    if (!log.empty()) continue;
+    TimePoint t = w.start + static_cast<TimePoint>(gen() % (30 * kSecondsPerDay));
+    while (t < w.end - 2 * kSecondsPerDay) {
+      const TimePoint len = 600 + static_cast<TimePoint>(gen() % (40 * kSecondsPerHour));
+      log.add_start({t, node, (1 + gen() % 3) * kGiB + gen() % 4096, 30.0});
+      if (gen() % 7 != 0) log.add_end({t + len, node, 31.0});
+      if (gen() % 5 == 0) {
+        telemetry::ErrorRecord e;
+        e.node = node;
+        e.time = t + len / 2;
+        log.add_error(e);
+        log.add_alloc_fail({t + len + 1, node});
+      }
+      t += len + 1 + static_cast<TimePoint>(gen() % (10 * kSecondsPerDay));
+    }
+  }
+
+  ScanProfileSink per_record;
+  ScanProfileSink bulk;
+  std::string scratch;
+  per_record.begin_campaign(w);
+  bulk.begin_campaign(w);
+  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
+    const cluster::NodeId node = cluster::node_from_index(i);
+    per_record.begin_node(node);
+    telemetry::replay_node_log(archive.log(node), per_record);
+    per_record.end_node(node);
+    telemetry::EncodedNodeLog enc(node, archive.log(node), scratch,
+                                  telemetry::kernels::active_encode_kernels());
+    bulk.begin_node(node);
+    bulk.on_node_log(enc);
+    bulk.end_node(node);
+  }
+  per_record.end_campaign();
+  bulk.end_campaign();
+
+  ASSERT_GT(per_record.monitored_nodes(), 40);
+  EXPECT_EQ(bulk.monitored_nodes(), per_record.monitored_nodes());
+  expect_same_bits(bulk.total_monitored_hours(), per_record.total_monitored_hours());
+  expect_same_bits(bulk.total_terabyte_hours(), per_record.total_terabyte_hours());
+  expect_same_grid(bulk.hours_grid(), per_record.hours_grid());
+  expect_same_grid(bulk.terabyte_hours_grid(), per_record.terabyte_hours_grid());
+  ASSERT_EQ(bulk.daily_terabyte_hours().size(),
+            per_record.daily_terabyte_hours().size());
+  for (std::size_t d = 0; d < bulk.daily_terabyte_hours().size(); ++d)
+    expect_same_bits(bulk.daily_terabyte_hours()[d],
+                     per_record.daily_terabyte_hours()[d]);
+
+  // And both match the batch products over the materialized archive.
+  expect_same_grid(per_record.hours_grid(), hours_scanned_grid(archive));
+  const std::vector<double> batch_daily = daily_terabyte_hours(archive);
+  ASSERT_EQ(batch_daily.size(), bulk.daily_terabyte_hours().size());
+  for (std::size_t d = 0; d < batch_daily.size(); ++d)
+    expect_same_bits(bulk.daily_terabyte_hours()[d], batch_daily[d]);
 }
 
 }  // namespace

@@ -187,6 +187,63 @@ TEST(EccCli, ExhaustiveWorkloadRefusalExitsTwo) {
   EXPECT_EQ(run(kEcc + " --code secded72 --exhaustive 16"), 2);
 }
 
+/// Run with stdout and stderr captured to separate strings.
+struct Captured {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+Captured run_captured(const std::string& args_for_binary,
+                      const std::string& tag) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("unp_cli_" + tag);
+  std::filesystem::create_directories(dir);
+  const std::string command = args_for_binary + " >" + (dir / "out").string() +
+                              " 2>" + (dir / "err").string();
+  const int status = std::system(command.c_str());
+  EXPECT_TRUE(WIFEXITED(status)) << command;
+  const auto slurp = [](const std::filesystem::path& path) {
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  Captured c{WEXITSTATUS(status), slurp(dir / "out"), slurp(dir / "err")};
+  std::filesystem::remove_all(dir);
+  return c;
+}
+
+TEST(EccCli, DefaultMenuExhaustiveSkipsIntractableCodes) {
+  // The default menu's large-codeword codes have ~10^10 weight-3 patterns,
+  // past the enumeration limit: they are skipped with a note, the rest are
+  // tabulated, and the run succeeds.
+  const Captured c = run_captured(kEcc + " --exhaustive 3", "ecc_default_k3");
+  EXPECT_EQ(c.exit_code, 0) << c.err;
+  for (const char* code : {"secded72", "chipkill", "hamming:64", "hsiao:64/8",
+                           "bch:64/2"}) {
+    EXPECT_NE(c.out.find(code), std::string::npos) << code << "\n" << c.out;
+  }
+  for (const char* code : {"large:512B/8", "large:4KB/8"}) {
+    EXPECT_EQ(c.out.find(code), std::string::npos) << code << "\n" << c.out;
+    EXPECT_NE(c.err.find(std::string("skipping exhaustive K=3 for ") + code),
+              std::string::npos)
+        << c.err;
+  }
+}
+
+TEST(EccCli, ExplicitIntractableCodeRefusesBeforeAnyOutput) {
+  // A code named with --code is enumerated as asked or not at all: one over
+  // the limit exits 2 before the tractable code ahead of it prints a table.
+  const Captured c = run_captured(
+      kEcc + " --code secded72 --code large:512B/8 --exhaustive 3",
+      "ecc_explicit_k3");
+  EXPECT_EQ(c.exit_code, 2);
+  EXPECT_TRUE(c.out.empty()) << c.out;
+  EXPECT_NE(c.err.find("refusing exhaustive K=3 for large:512B/8"),
+            std::string::npos)
+      << c.err;
+}
+
 TEST(EccCli, StoreRequiresPopulationMode) {
   EXPECT_EQ(run(kEcc + " --store x.unpf --exhaustive 2"), 2);
 }

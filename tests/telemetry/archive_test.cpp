@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 namespace unp::telemetry {
 namespace {
 
@@ -75,6 +78,64 @@ TEST(NodeLog, SortByTime) {
   log.add_error(early);
   log.sort_by_time();
   EXPECT_EQ(log.error_runs()[0].first.time, 10);
+}
+
+// Sorting each appended batch with sort_error_runs_from and then calling
+// sort_by_time() must give exactly the order of one global stable sort,
+// ties included.  Each batch draws times from 5 values, so ties are common;
+// the virtual address numbers the runs in append order, so any reordering
+// of tied runs shows.  Trial kinds: session-like batches (disjoint,
+// increasing time ranges); batches sharing one narrow range (runs tie
+// across batches; the time span is below the run count, so the counting
+// sort runs); and batches sharing a wide range (values 1000 s apart; the
+// merge sort runs).
+TEST(NodeLog, BatchSortsThenSortByTimeEqualOneGlobalStableSort) {
+  std::mt19937_64 gen(7);
+  for (int trial = 0; trial < 96; ++trial) {
+    const bool session_like = trial % 3 == 0;
+    const TimePoint step = trial % 3 == 2 ? 1000 : 1;
+    NodeLog log;
+    std::vector<ErrorRun> appended;
+    std::uint64_t id = 0;
+    const int batches = 1 + static_cast<int>(gen() % 8);
+    for (int b = 0; b < batches; ++b) {
+      const TimePoint lo = session_like ? 10 * b : 0;
+      const std::size_t first = log.error_runs().size();
+      const auto n = static_cast<std::size_t>(gen() % 40);
+      for (std::size_t k = 0; k < n; ++k) {
+        ErrorRun run;
+        run.first.time = lo + step * static_cast<TimePoint>(gen() % 5);
+        run.first.virtual_address = id++;
+        log.add_error_run(run);
+        appended.push_back(run);
+      }
+      log.sort_error_runs_from(first);
+    }
+    const auto by_time = [](const ErrorRun& a, const ErrorRun& b) {
+      return a.first.time < b.first.time;
+    };
+    if (session_like) {
+      EXPECT_TRUE(std::is_sorted(log.error_runs().begin(),
+                                 log.error_runs().end(), by_time));
+    }
+    log.sort_by_time();
+    std::stable_sort(appended.begin(), appended.end(), by_time);
+    ASSERT_EQ(log.error_runs(), appended) << "trial " << trial;
+  }
+}
+
+TEST(NodeLog, AddErrorRunsAppendsInOrder) {
+  NodeLog log;
+  ErrorRun a;
+  a.first.time = 5;
+  ErrorRun b;
+  b.first.time = 1;
+  log.add_error_run(a);
+  const std::vector<ErrorRun> block{b, a};
+  log.add_error_runs(block);
+  ASSERT_EQ(log.error_runs().size(), 3u);
+  EXPECT_EQ(log.error_runs()[1], b);
+  EXPECT_EQ(log.error_runs()[2], a);
 }
 
 TEST(Archive, AggregatesAcrossNodes) {
