@@ -44,7 +44,7 @@ struct Row {
 };
 
 /// Best-of-N timing of the fused pass and the fill over one backend.
-Row measure(kernels::Isa isa, std::uint64_t bytes, std::size_t threads,
+Row measure(simd::Isa isa, std::uint64_t bytes, std::size_t threads,
             ThreadPool* pool) {
   scanner::RealMemoryBackend backend =
       pool != nullptr ? scanner::RealMemoryBackend(bytes, *pool)
@@ -59,7 +59,7 @@ Row measure(kernels::Isa isa, std::uint64_t bytes, std::size_t threads,
                            [&](std::uint64_t, Word) { ++canary; });
   if (canary != 1) {
     std::fprintf(stderr, "FATAL: %s kernel reported %llu mismatches for 1\n",
-                 kernels::to_string(isa),
+                 simd::to_string(isa),
                  static_cast<unsigned long long>(canary));
     std::exit(1);
   }
@@ -69,7 +69,7 @@ Row measure(kernels::Isa isa, std::uint64_t bytes, std::size_t threads,
   const double gib = static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0);
 
   Row row;
-  row.kernel = kernels::to_string(isa);
+  row.kernel = simd::to_string(isa);
   row.bytes = bytes;
   row.threads = threads;
   row.nontemporal = backend.uses_nontemporal_stores();
@@ -91,7 +91,7 @@ Row measure(kernels::Isa isa, std::uint64_t bytes, std::size_t threads,
   if (sink != 0) {
     std::fprintf(stderr, "FATAL: %s kernel reported mismatches on a clean "
                          "buffer\n",
-                 kernels::to_string(isa));
+                 simd::to_string(isa));
     std::exit(1);
   }
 
@@ -108,7 +108,7 @@ Row measure(kernels::Isa isa, std::uint64_t bytes, std::size_t threads,
 }
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                kernels::Isa best, double min_speedup,
+                simd::Isa best, double min_speedup,
                 double measured_speedup, bool gated, bool pass) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -118,9 +118,9 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   std::fprintf(f, "{\n  \"bench\": \"scanner_kernels\",\n");
   std::fprintf(f, "  \"active_kernel\": \"%s\",\n",
                kernels::active_kernels().name);
-  std::fprintf(f, "  \"best_kernel\": \"%s\",\n", kernels::to_string(best));
+  std::fprintf(f, "  \"best_kernel\": \"%s\",\n", simd::to_string(best));
   std::fprintf(f, "  \"nontemporal_threshold_bytes\": %zu,\n",
-               kernels::nontemporal_threshold_bytes());
+               scanner::nontemporal_threshold_bytes());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -157,17 +157,17 @@ int main(int argc, char** argv) {
 
   const std::vector<std::uint64_t> sizes{1ull << 20, 16ull << 20, 64ull << 20};
   constexpr double kMinSpeedup = 1.5;
-  const kernels::Isa best = kernels::best_supported_isa();
+  const simd::Isa best = simd::best_supported_isa();
 
   std::printf("scanner sweep kernels (active: %s, best: %s, NT threshold: "
               "%zu MiB)\n",
-              kernels::active_kernels().name, kernels::to_string(best),
-              kernels::nontemporal_threshold_bytes() >> 20);
+              kernels::active_kernels().name, simd::to_string(best),
+              scanner::nontemporal_threshold_bytes() >> 20);
   std::printf("%-8s %10s %8s %4s %12s %12s\n", "kernel", "MiB", "threads",
               "NT", "pass GB/s", "fill GB/s");
 
   std::vector<Row> rows;
-  for (const kernels::Isa isa : kernels::supported_isas()) {
+  for (const simd::Isa isa : simd::supported_isas()) {
     for (const std::uint64_t bytes : sizes) {
       rows.push_back(measure(isa, bytes, 1, nullptr));
       const Row& r = rows.back();
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   // Gate: dispatched vs scalar on every buffer >= 16 MiB, single-threaded
   // so the comparison isolates the kernel, not the pool.
   bool ok = true;
-  bool gated = best != kernels::Isa::kScalar;
+  bool gated = best != simd::Isa::kScalar;
   double worst_speedup = 0.0;
   if (!gated) {
     std::printf("gate SKIPPED: no vector path on this CPU\n");
@@ -205,13 +205,13 @@ int main(int argc, char** argv) {
       for (const Row& r : rows) {
         if (r.bytes != bytes || r.threads != 1) continue;
         if (r.kernel == "scalar") scalar_gbps = r.pass_gbps;
-        if (r.kernel == kernels::to_string(best)) best_gbps = r.pass_gbps;
+        if (r.kernel == simd::to_string(best)) best_gbps = r.pass_gbps;
       }
       const double speedup = scalar_gbps > 0.0 ? best_gbps / scalar_gbps : 0.0;
       worst_speedup = std::min(worst_speedup, speedup);
       std::printf("gate @ %4llu MiB: %s %.2fx vs scalar (need >= %.1fx)\n",
                   static_cast<unsigned long long>(bytes >> 20),
-                  kernels::to_string(best), speedup, kMinSpeedup);
+                  simd::to_string(best), speedup, kMinSpeedup);
       if (speedup < kMinSpeedup) ok = false;
     }
   }

@@ -4,10 +4,12 @@
 // 180 node-days quarantined, MTBF 156.9 h; availability loss <0.1%.
 // MTBF improves by nearly three orders of magnitude.
 //
-// Rendering lives in bench::print_tab2, shared with the online policy
-// engine's `unp_policy --sweep` so both paths print byte-identically.
+// The sweep is one threshold-policy shadow per period, replayed through the
+// policy engine over the finished extraction.  Rendering lives in
+// bench::print_tab2, shared with `unp_policy --sweep` (the same engine fed
+// the live record stream), so both print byte-identically.
 #include "analysis/regime.hpp"
-#include "resilience/quarantine.hpp"
+#include "policy/builtin.hpp"
 #include "util/campaign_cache.hpp"
 #include "util/figures.hpp"
 
@@ -19,12 +21,10 @@ int main() {
   // Like the paper, drop the permanently failing node first.
   const analysis::AutoRegime regimes =
       analysis::classify_regime_excluding_loudest(data.extraction.faults, window);
-  resilience::QuarantineConfig base;
-  if (regimes.excluded) base.excluded_nodes.push_back(*regimes.excluded);
+  std::vector<cluster::NodeId> excluded;
+  if (regimes.excluded) excluded.push_back(*regimes.excluded);
 
-  const std::vector<int> periods{0, 5, 10, 15, 20, 25, 30};
-  const auto sweep = resilience::quarantine_sweep(data.extraction.faults,
-                                                  window, periods, base);
-  bench::print_tab2(sweep);
+  bench::print_tab2(policy::replay_quarantine_periods(
+      window, data.extraction.faults, {0, 5, 10, 15, 20, 25, 30}, excluded));
   return 0;
 }

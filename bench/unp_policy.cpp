@@ -287,7 +287,7 @@ int run_policy(const Options& opts) {
   const double finish_ms = ms_since(t_finish);
 
   if (opts.sweep) {
-    std::vector<resilience::QuarantineOutcome> sweep;
+    std::vector<policy::QuarantineOutcome> sweep;
     for (const std::size_t slot : sweep_slots) {
       sweep.push_back(result.outcomes[slot].quarantine);
     }

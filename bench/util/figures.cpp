@@ -608,7 +608,7 @@ void print_fig13(const analysis::AutoRegime& result,
               regime.degraded_mtbf_hours);
 }
 
-void print_tab2(const std::vector<resilience::QuarantineOutcome>& sweep, FILE* out) {
+void print_tab2(const std::vector<policy::QuarantineOutcome>& sweep, FILE* out) {
   print_header(
       "Table II - quarantine sweep (Section IV)",
       "0d: 4779 errors / 2.1h MTBF ... 30d: 65 errors / 180 node-days / "

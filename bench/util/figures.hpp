@@ -25,7 +25,7 @@
 #include "analysis/regime.hpp"
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
-#include "resilience/quarantine.hpp"
+#include "policy/policy.hpp"
 
 namespace unp::bench {
 
@@ -98,10 +98,11 @@ void print_fig13(const analysis::AutoRegime& result,
                  const CampaignWindow& window,
                 FILE* out = stdout);
 
-/// Table II: quarantine-period sweep.  Both the batch bench
-/// (bench_tab2_quarantine) and the online policy engine (unp_policy --sweep)
-/// print through this, so equal outcomes render byte-identically.
-void print_tab2(const std::vector<resilience::QuarantineOutcome>& sweep,
+/// Table II: quarantine-period sweep.  Both policy-engine entries print
+/// through this — the replay over the finished extraction
+/// (bench_tab2_quarantine) and the live stream (unp_policy --sweep) — so
+/// equal outcomes render byte-identically.
+void print_tab2(const std::vector<policy::QuarantineOutcome>& sweep,
                 FILE* out = stdout);
 
 /// Extension: inter-arrival structure vs the Poisson null.

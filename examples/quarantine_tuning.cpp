@@ -6,6 +6,7 @@
 // page retirement would do in production.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "analysis/extraction.hpp"
 #include "analysis/regime.hpp"
@@ -14,7 +15,6 @@
 #include "policy/engine.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/page_retirement.hpp"
-#include "resilience/quarantine.hpp"
 #include "sim/campaign.hpp"
 #include "telemetry/sink.hpp"
 
@@ -30,39 +30,51 @@ int main() {
   // Pull the permanently failing node like the paper does.
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
       extraction.faults, window);
-  resilience::QuarantineConfig base;
+  std::vector<cluster::NodeId> excluded;
   if (regimes.excluded) {
-    base.excluded_nodes.push_back(*regimes.excluded);
+    excluded.push_back(*regimes.excluded);
     std::printf("replaced permanent-failure node %s up front\n\n",
                 cluster::node_name(*regimes.excluded).c_str());
   }
 
-  // 2-D sweep: period x trigger threshold.
+  // 2-D sweep: period x trigger threshold, one threshold-policy shadow per
+  // cell, all replayed over the extracted faults in one engine pass.
+  std::vector<policy::ThresholdQuarantinePolicy::Config> grid;
+  policy::PolicyEngine sweep;
+  for (std::uint64_t threshold : {1u, 3u, 10u}) {
+    for (int period : {5, 10, 20, 30}) {
+      policy::ThresholdQuarantinePolicy::Config config;
+      config.trigger_threshold = threshold;
+      config.period_days = period;
+      grid.push_back(config);
+      sweep.add_policy(std::make_unique<policy::ThresholdQuarantinePolicy>(config));
+    }
+  }
+  const std::vector<policy::PolicyOutcome> cells =
+      sweep.replay(window, extraction.faults, excluded);
+
   std::printf("== policy sweep: quarantine period x trigger threshold ==\n");
   TextTable table({"Trigger >N/day", "Period (d)", "Errors", "Node-days",
                    "MTBF (h)", "MTBF per node-day"});
+  // No cell scoring above 0 leaves the knee at no quarantine (period 0).
   double best_score = 0.0;
-  resilience::QuarantineConfig best = base;
-  for (std::uint64_t threshold : {1u, 3u, 10u}) {
-    for (int period : {5, 10, 20, 30}) {
-      resilience::QuarantineConfig config = base;
-      config.trigger_threshold = threshold;
-      config.period_days = period;
-      const resilience::QuarantineOutcome outcome =
-          resilience::simulate_quarantine(extraction.faults, window, config);
-      const double score =
-          outcome.node_days_quarantined > 0.0
-              ? outcome.system_mtbf_hours / outcome.node_days_quarantined
-              : 0.0;
-      table.add_row({std::to_string(threshold), std::to_string(period),
-                     format_count(outcome.counted_errors),
-                     format_fixed(outcome.node_days_quarantined, 0),
-                     format_fixed(outcome.system_mtbf_hours, 1),
-                     format_fixed(score, 3)});
-      if (score > best_score) {
-        best_score = score;
-        best = config;
-      }
+  policy::ThresholdQuarantinePolicy::Config best;
+  best.period_days = 0;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const policy::QuarantineOutcome& outcome = cells[i].quarantine;
+    const double score =
+        outcome.node_days_quarantined > 0.0
+            ? outcome.system_mtbf_hours / outcome.node_days_quarantined
+            : 0.0;
+    table.add_row({std::to_string(grid[i].trigger_threshold),
+                   std::to_string(grid[i].period_days),
+                   format_count(outcome.counted_errors),
+                   format_fixed(outcome.node_days_quarantined, 0),
+                   format_fixed(outcome.system_mtbf_hours, 1),
+                   format_fixed(score, 3)});
+    if (score > best_score) {
+      best_score = score;
+      best = grid[i];
     }
   }
   std::printf("%s\n", table.render().c_str());
@@ -111,10 +123,7 @@ int main() {
   // One pass scores all three (bench_perf_policy measures the saving).
   std::printf("== online shadow evaluation: the knee policy run live ==\n");
   policy::PolicyEngine engine;
-  policy::ThresholdQuarantinePolicy::Config knee;
-  knee.period_days = best.period_days;
-  knee.trigger_threshold = best.trigger_threshold;
-  engine.add_policy(std::make_unique<policy::ThresholdQuarantinePolicy>(knee));
+  engine.add_policy(std::make_unique<policy::ThresholdQuarantinePolicy>(best));
   engine.add_policy(std::make_unique<policy::PredictiveQuarantinePolicy>());
   engine.add_policy(std::make_unique<policy::AdaptiveCheckpointPolicy>());
 

@@ -5,14 +5,15 @@
 // This walks the library's central pipeline:
 //   CampaignConfig -> run_campaign -> CampaignArchive
 //                  -> extract_faults -> FaultRecords
-//                  -> metrics / regime / resilience policies
+//                  -> metrics / regime / the policy engine
 #include <cstdio>
+#include <vector>
 
 #include "analysis/bitstats.hpp"
 #include "analysis/extraction.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/regime.hpp"
-#include "resilience/quarantine.hpp"
+#include "policy/builtin.hpp"
 #include "sim/campaign.hpp"
 
 int main() {
@@ -72,11 +73,12 @@ int main() {
               static_cast<unsigned long long>(regimes.regime.degraded_days),
               regimes.regime.degraded_mtbf_hours);
 
-  resilience::QuarantineConfig quarantine;
-  quarantine.period_days = 10;
-  if (regimes.excluded) quarantine.excluded_nodes.push_back(*regimes.excluded);
-  const resilience::QuarantineOutcome outcome = resilience::simulate_quarantine(
-      extraction.faults, config.window, quarantine);
+  // The what-if is a 10-day threshold policy replayed through the policy
+  // engine over the finished faults, loudest node left out of the ledger.
+  std::vector<cluster::NodeId> excluded;
+  if (regimes.excluded) excluded.push_back(*regimes.excluded);
+  const policy::QuarantineOutcome outcome = policy::replay_quarantine_periods(
+      config.window, extraction.faults, {10}, excluded).front();
   std::printf("\n-- 10-day quarantine what-if ---------------------------\n");
   std::printf("errors reaching users: %llu (was %llu)\n",
               static_cast<unsigned long long>(outcome.counted_errors),

@@ -1,9 +1,11 @@
 #include "policy/builtin.hpp"
 
 #include <cstdio>
+#include <memory>
 #include <utility>
 
 #include "common/require.hpp"
+#include "policy/engine.hpp"
 
 namespace unp::policy {
 
@@ -56,6 +58,24 @@ std::string ThresholdQuarantinePolicy::report() const {
                 config_.period_days,
                 static_cast<unsigned long long>(config_.trigger_threshold),
                 static_cast<unsigned long long>(triggers_));
+}
+
+std::vector<QuarantineOutcome> replay_quarantine_periods(
+    const CampaignWindow& window, analysis::FaultView faults,
+    const std::vector<int>& periods,
+    const std::vector<cluster::NodeId>& excluded) {
+  PolicyEngine engine;
+  for (const int period : periods) {
+    UNP_REQUIRE(period >= 0);
+    ThresholdQuarantinePolicy::Config config;
+    config.period_days = period;
+    engine.add_policy(std::make_unique<ThresholdQuarantinePolicy>(config));
+  }
+  std::vector<QuarantineOutcome> out;
+  for (const PolicyOutcome& outcome : engine.replay(window, faults, excluded)) {
+    out.push_back(outcome.quarantine);
+  }
+  return out;
 }
 
 // --- PredictiveQuarantinePolicy --------------------------------------------

@@ -3,8 +3,9 @@
 //
 //   ThresholdQuarantinePolicy   Table II: a day with more errors than the
 //                               normal-regime threshold pulls the node for a
-//                               fixed period.  Online it produces outcomes
-//                               bit-identical to the batch sweep.
+//                               fixed period; replay_quarantine_periods runs
+//                               one shadow per period over a finished fault
+//                               list.
 //   PredictiveQuarantinePolicy  Section III-I: when the trailing error
 //                               history crosses a threshold, tomorrow is
 //                               at-risk — quarantine one day ahead and flag
@@ -41,7 +42,7 @@ class ThresholdQuarantinePolicy final : public Policy {
     /// threshold, as in Table II).
     std::uint64_t trigger_threshold = 3;
     /// Retire the page of an address after this many faults there
-    /// (0 disables; keep disabled for bit-parity with the batch sweep).
+    /// (0 disables, as Table II does).
     std::uint64_t retire_page_repeats = 0;
   };
 
@@ -66,6 +67,15 @@ class ThresholdQuarantinePolicy final : public Policy {
   std::set<std::pair<int, std::uint64_t>> retired_pages_;
   std::uint64_t triggers_ = 0;
 };
+
+/// Table II: one default ThresholdQuarantinePolicy shadow per period,
+/// replayed over a finished fault list in one PolicyEngine pass with
+/// `excluded` left out of the ledgers.  Returns the quarantine ledger of
+/// each period, in order.
+[[nodiscard]] std::vector<QuarantineOutcome> replay_quarantine_periods(
+    const CampaignWindow& window, analysis::FaultView faults,
+    const std::vector<int>& periods,
+    const std::vector<cluster::NodeId>& excluded);
 
 class PredictiveQuarantinePolicy final : public Policy {
  public:

@@ -36,9 +36,13 @@ std::size_t PolicyEngine::add_policy(std::unique_ptr<Policy> policy) {
 }
 
 void PolicyEngine::begin_campaign(const CampaignWindow& window) {
-  window_ = window;
   finished_ = false;
   extractor_.begin_campaign(window);
+  begin_shadows(window);
+}
+
+void PolicyEngine::begin_shadows(const CampaignWindow& window) {
+  window_ = window;
   for (auto& shadow : shadows_) {
     shadow.nodes.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots), {});
     shadow.retired.clear();
@@ -171,45 +175,71 @@ EngineResult PolicyEngine::finish() {
     }
   }
 
+  result.outcomes = aggregate(result.excluded_nodes);
+  return result;
+}
+
+std::vector<PolicyOutcome> PolicyEngine::replay(
+    const CampaignWindow& window, analysis::FaultView faults,
+    const std::vector<cluster::NodeId>& excluded) {
+  begin_shadows(window);
+  // Group by node, the unit dispatch_node replays (it restores each node's
+  // time order itself).
+  std::vector<analysis::FaultRecord> by_node(faults.begin(), faults.end());
+  std::stable_sort(by_node.begin(), by_node.end(),
+                   [](const analysis::FaultRecord& a,
+                      const analysis::FaultRecord& b) {
+                     return cluster::node_index(a.node) <
+                            cluster::node_index(b.node);
+                   });
+  for (auto first = by_node.begin(); first != by_node.end();) {
+    const auto last =
+        std::find_if(first, by_node.end(), [&](const analysis::FaultRecord& f) {
+          return f.node != first->node;
+        });
+    dispatch_node(first->node, {first, last});
+    first = last;
+  }
+  return aggregate(excluded);
+}
+
+std::vector<PolicyOutcome> PolicyEngine::aggregate(
+    const std::vector<cluster::NodeId>& excluded_nodes) {
   std::vector<bool> excluded(static_cast<std::size_t>(cluster::kStudyNodeSlots),
                              false);
-  for (const auto node : result.excluded_nodes) {
+  for (const auto node : excluded_nodes) {
     excluded[static_cast<std::size_t>(cluster::node_index(node))] = true;
   }
+  const double campaign_hours =
+      static_cast<double>(window_.duration_seconds()) / kSecondsPerHour;
 
+  std::vector<PolicyOutcome> outcomes;
   for (auto& shadow : shadows_) {
-    shadow.policy->finish(FinalizeContext{window_, result.excluded_nodes});
+    shadow.policy->finish(FinalizeContext{window_, excluded_nodes});
 
     PolicyOutcome outcome;
     outcome.policy_name = std::string(shadow.policy->name());
-    outcome.quarantine.period_days = shadow.policy->period_days();
+    QuarantineOutcome& q = outcome.quarantine;
+    q.period_days = shadow.policy->period_days();
     std::uint64_t flags = 0;
     for (std::size_t i = 0; i < shadow.nodes.size(); ++i) {
       if (excluded[i]) continue;
       const NodeState& state = shadow.nodes[i];
-      outcome.quarantine.counted_errors += state.counted;
-      outcome.quarantine.suppressed_errors += state.suppressed;
-      outcome.quarantine.quarantine_entries += state.entries;
-      outcome.quarantine.quarantined_seconds += state.quarantined_seconds;
+      q.counted_errors += state.counted;
+      q.suppressed_errors += state.suppressed;
+      q.quarantine_entries += state.entries;
+      q.quarantined_seconds += state.quarantined_seconds;
       outcome.retired_absorbed_errors += state.retired_absorbed;
       if (shadow.flagged.count(static_cast<int>(i)) > 0) ++flags;
     }
-    // Derived figures with the batch simulator's exact expressions, so the
-    // doubles come out bitwise-equal, not merely close.
-    outcome.quarantine.node_days_quarantined =
-        static_cast<double>(outcome.quarantine.quarantined_seconds) /
-        kSecondsPerDay;
-    const double campaign_hours =
-        static_cast<double>(window_.duration_seconds()) / kSecondsPerHour;
-    if (outcome.quarantine.counted_errors > 0) {
-      outcome.quarantine.system_mtbf_hours =
-          campaign_hours /
-          static_cast<double>(outcome.quarantine.counted_errors);
-    } else {
-      outcome.quarantine.system_mtbf_hours = campaign_hours;
-    }
-    outcome.quarantine.availability_loss =
-        outcome.quarantine.node_days_quarantined /
+    q.node_days_quarantined =
+        static_cast<double>(q.quarantined_seconds) / kSecondsPerDay;
+    q.system_mtbf_hours =
+        q.counted_errors > 0
+            ? campaign_hours / static_cast<double>(q.counted_errors)
+            : campaign_hours;
+    q.availability_loss =
+        q.node_days_quarantined /
         (static_cast<double>(config_.fleet_nodes) *
          static_cast<double>(window_.duration_days()));
 
@@ -219,9 +249,9 @@ EngineResult PolicyEngine::finish() {
     outcome.protection_changes = shadow.protection_changes;
     outcome.actions_emitted = shadow.log.size();
     outcome.report = shadow.policy->report();
-    result.outcomes.push_back(std::move(outcome));
+    outcomes.push_back(std::move(outcome));
   }
-  return result;
+  return outcomes;
 }
 
 }  // namespace unp::policy

@@ -20,9 +20,15 @@
 // Exclusions (the pathological node the extraction filter removes, plus the
 // loudest surviving node) are only knowable at end of stream, so the engine
 // keeps per-node ledgers and aggregates at finish() skipping the excluded
-// set — yielding, for the threshold policy, outcomes bit-identical to the
-// batch resilience::simulate_quarantine over the finished extraction
-// (asserted by tests/policy/engine_test.cpp).
+// set.
+//
+// One engine, two entries: the live RecordSink protocol above, and replay()
+// over a finished fault list (an extraction's faults) against a caller-given
+// excluded set.  Both run the same per-node dispatch and the same ledger
+// aggregation, so a finished extraction replayed through the engine yields
+// outcomes bit-identical to the live pass that produced it (asserted by
+// tests/policy/engine_test.cpp).  Table II is K ThresholdQuarantinePolicy
+// shadows in one replay (replay_quarantine_periods in builtin.hpp).
 #pragma once
 
 #include <cstdint>
@@ -79,6 +85,16 @@ class PolicyEngine final : public telemetry::RecordSink {
   /// aggregate the ledgers.  Call once, after end_campaign.
   [[nodiscard]] EngineResult finish();
 
+  /// The batch entry: replay a finished fault list through every registered
+  /// policy (each node's faults in (first_seen, virtual_address) order, as
+  /// the live stream delivers them), then finalize every policy and
+  /// aggregate the ledgers over the nodes outside `excluded`.  One outcome
+  /// per registered policy.  Use instead of the RecordSink protocol, not
+  /// after it; each call starts every policy afresh.
+  [[nodiscard]] std::vector<PolicyOutcome> replay(
+      const CampaignWindow& window, analysis::FaultView faults,
+      const std::vector<cluster::NodeId>& excluded);
+
   /// Full action log of policy `k`, in emission order.
   [[nodiscard]] const std::vector<Action>& actions(std::size_t k) const {
     return shadows_[k].log;
@@ -89,8 +105,7 @@ class PolicyEngine final : public telemetry::RecordSink {
   }
 
  private:
-  /// Per-policy, per-node controller state (mirrors the batch simulator's
-  /// NodeState plus the engine-side ledger fields).
+  /// Per-policy, per-node controller state and ledger.
   struct NodeState {
     TimePoint quarantined_until = 0;
     std::int64_t counting_day = -1;
@@ -116,9 +131,15 @@ class PolicyEngine final : public telemetry::RecordSink {
     std::vector<std::uint8_t> protection;  ///< kStudyNodeSlots entries
   };
 
+  /// Reset every shadow and begin its policy over `window`.
+  void begin_shadows(const CampaignWindow& window);
   void dispatch_node(cluster::NodeId node,
                      std::span<const analysis::FaultRecord> faults);
   void apply(Shadow& shadow, NodeState& state, const Action& action);
+  /// Finalize every policy and sum its per-node ledgers over the nodes
+  /// outside `excluded` into one outcome per policy.
+  [[nodiscard]] std::vector<PolicyOutcome> aggregate(
+      const std::vector<cluster::NodeId>& excluded);
 
   Config config_;
   CampaignWindow window_;

@@ -25,7 +25,6 @@
 
 #include "analysis/extraction.hpp"
 #include "policy/action.hpp"
-#include "resilience/quarantine.hpp"
 
 namespace unp::policy {
 
@@ -50,13 +49,27 @@ struct FinalizeContext {
   std::vector<cluster::NodeId> excluded_nodes;
 };
 
+/// Quarantine sub-ledger of one policy (Table II's row for a threshold
+/// policy): what reached users, what quarantine absorbed, and the cost.
+struct QuarantineOutcome {
+  int period_days = 0;
+  std::uint64_t counted_errors = 0;     ///< errors that reached users
+  std::uint64_t suppressed_errors = 0;  ///< absorbed by quarantine
+  std::uint64_t quarantine_entries = 0; ///< times any node entered quarantine
+  /// Total quarantined time in exact integer seconds, so the sum (and the
+  /// doubles derived from it) cannot depend on the order nodes are visited.
+  std::int64_t quarantined_seconds = 0;
+  double node_days_quarantined = 0.0;  ///< quarantined_seconds / 86400
+  double system_mtbf_hours = 0.0;      ///< campaign hours / counted errors
+  /// Node-availability loss over the whole campaign.
+  double availability_loss = 0.0;
+};
+
 /// Counterfactual ledger of one policy over one campaign pass, aggregated
-/// over non-excluded nodes only.  The quarantine sub-ledger uses the exact
-/// fields and arithmetic of the batch simulator so a threshold policy's
-/// outcome is bit-comparable with resilience::simulate_quarantine.
+/// over non-excluded nodes only.
 struct PolicyOutcome {
   std::string policy_name;
-  resilience::QuarantineOutcome quarantine;
+  QuarantineOutcome quarantine;
   std::uint64_t pages_retired = 0;
   std::uint64_t retired_absorbed_errors = 0;  ///< faults on retired pages
   std::uint64_t placement_flags = 0;          ///< nodes flagged kAvoidPlacement

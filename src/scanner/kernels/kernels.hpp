@@ -12,14 +12,14 @@
 //   - avx2    : 32-byte vectors (runtime cpuid check)
 //   - neon    : 16-byte vectors (AArch64; Advanced SIMD is architectural)
 //
-// Dispatch is resolved once at startup: the best ISA the CPU supports, or
-// the `UNP_KERNEL=scalar|sse2|avx2|neon` environment override (testing/CI;
-// an unsupported request falls back to the best path with a warning).  Every
-// kernel handles unaligned head/tail words internally and reports mismatches
-// in ascending address order, so scanner output is byte-identical no matter
-// which path runs.  For buffers larger than the last-level cache the
-// kernels can use non-temporal stores: a sweep touches every line exactly
-// once, so there is nothing worth caching.
+// Dispatch (common/simd_dispatch) is resolved once at startup: the best ISA
+// the CPU supports, or the `UNP_KERNEL=scalar|sse2|avx2|neon` environment
+// override (testing/CI; an unsupported request falls back to the best path
+// with a warning).  Every kernel handles unaligned head/tail words
+// internally and reports mismatches in ascending address order, so scanner
+// output is byte-identical no matter which path runs.  For buffers larger
+// than the last-level cache the kernels can use non-temporal stores: a
+// sweep touches every line exactly once, so there is nothing worth caching.
 //
 // The masked sweep honours the page-retirement interval map (retired pages
 // are unmapped from the scan space: neither read, written, nor reported).
@@ -36,14 +36,6 @@
 #include "scanner/kernels/interval_set.hpp"
 
 namespace unp::scanner::kernels {
-
-/// Instruction-set architectures a kernel set can be built for.  Detection
-/// and the UNP_KERNEL override live in the shared dispatch home
-/// (common/simd_dispatch) so the store's column-decode kernels resolve the
-/// same ISA; the aliases below keep this header the scanner-facing API.
-using Isa = simd::Isa;
-
-using simd::to_string;
 
 /// One mismatching word: absolute word index and the value actually stored.
 struct Hit {
@@ -67,30 +59,25 @@ using VerifyFn = void (*)(Word* data, std::size_t n, std::uint64_t base_index,
 /// One ISA's kernel set.  All sets are observationally identical; only the
 /// throughput differs.
 struct Kernels {
-  Isa isa = Isa::kScalar;
+  simd::Isa isa = simd::Isa::kScalar;
   const char* name = "scalar";
   FillFn fill = nullptr;
   VerifyFn verify_and_write = nullptr;
+
+  // The per-ISA sets, one per ISA translation unit (see simd_dispatch.hpp).
+  [[nodiscard]] static const Kernels& scalar() noexcept;
+  [[nodiscard]] static const Kernels& sse2() noexcept;
+  [[nodiscard]] static const Kernels& avx2() noexcept;
+  [[nodiscard]] static const Kernels& neon() noexcept;
 };
 
-using simd::best_supported_isa;
-using simd::is_supported;
-using simd::parse_isa;
-using simd::resolve_isa;
-using simd::supported_isas;
+/// Kernel set for `isa`; requires simd::is_supported(isa).  Defined in
+/// scalar.cpp, like every family's selection, so the dispatch templates are
+/// never instantiated in an ISA-flagged translation unit.
+[[nodiscard]] const Kernels& kernels_for(simd::Isa isa);
 
-/// Kernel set for `isa`; requires is_supported(isa).
-[[nodiscard]] const Kernels& kernels_for(Isa isa);
-
-/// The process-wide kernel set: resolved once from cpuid/HWCAP and the
-/// UNP_KERNEL override on first use (a fallback warning goes to stderr).
+/// The process-wide kernel set (simd::active_kernels).
 [[nodiscard]] const Kernels& active_kernels();
-
-/// Buffers larger than this benefit from non-temporal stores: a sweep
-/// touches every line exactly once, so caching the buffer only evicts
-/// everything else.  Derived from the last-level cache size when the OS
-/// reports it, with a conservative default otherwise.
-[[nodiscard]] std::size_t nontemporal_threshold_bytes() noexcept;
 
 /// Masked sweep: verify_and_write over the absolute word range
 /// [base_index, base_index + n) minus the `masked` intervals (absolute word

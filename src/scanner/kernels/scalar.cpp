@@ -45,10 +45,16 @@ void verify_scalar(Word* data, std::size_t n, std::uint64_t base_index,
 
 }  // namespace
 
-const Kernels& scalar_kernel_set() noexcept {
-  static const Kernels k{Isa::kScalar, "scalar", &fill_scalar,
+const Kernels& Kernels::scalar() noexcept {
+  static const Kernels k{simd::Isa::kScalar, "scalar", &fill_scalar,
                          &verify_scalar};
   return k;
 }
+
+const Kernels& kernels_for(simd::Isa isa) {
+  return simd::kernels_for<Kernels>(isa);
+}
+
+const Kernels& active_kernels() { return simd::active_kernels<Kernels>(); }
 
 }  // namespace unp::scanner::kernels

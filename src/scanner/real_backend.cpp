@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 #include "common/require.hpp"
 
 namespace unp::scanner {
@@ -24,10 +28,25 @@ std::size_t lane_partition(std::size_t n, std::size_t workers,
 
 }  // namespace
 
+std::size_t nontemporal_threshold_bytes() noexcept {
+  static const std::size_t threshold = [] {
+    long llc = -1;
+#if defined(_SC_LEVEL3_CACHE_SIZE)
+    llc = sysconf(_SC_LEVEL3_CACHE_SIZE);
+    if (llc <= 0) llc = sysconf(_SC_LEVEL2_CACHE_SIZE);
+#endif
+    // No OS report: assume a mid-size LLC rather than guessing small —
+    // non-temporal stores only pay off once the sweep cannot fit anyway.
+    if (llc <= 0) return std::size_t{16} << 20;
+    return static_cast<std::size_t>(llc);
+  }();
+  return threshold;
+}
+
 RealMemoryBackend::RealMemoryBackend(std::uint64_t bytes, std::size_t threads)
     : words_(static_cast<std::size_t>(bytes / sizeof(Word)), 0),
       kernels_(&kernels::active_kernels()),
-      nontemporal_(bytes > kernels::nontemporal_threshold_bytes()) {
+      nontemporal_(bytes > nontemporal_threshold_bytes()) {
   UNP_REQUIRE(bytes >= sizeof(Word));
   UNP_REQUIRE(threads >= 1);
   if (threads > 1) owned_pool_ = std::make_unique<ThreadPool>(threads);
@@ -37,7 +56,7 @@ RealMemoryBackend::RealMemoryBackend(std::uint64_t bytes, ThreadPool& pool)
     : words_(static_cast<std::size_t>(bytes / sizeof(Word)), 0),
       borrowed_pool_(&pool),
       kernels_(&kernels::active_kernels()),
-      nontemporal_(bytes > kernels::nontemporal_threshold_bytes()) {
+      nontemporal_(bytes > nontemporal_threshold_bytes()) {
   UNP_REQUIRE(bytes >= sizeof(Word));
 }
 

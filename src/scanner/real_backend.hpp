@@ -27,6 +27,12 @@
 
 namespace unp::scanner {
 
+/// Buffers larger than this benefit from non-temporal stores: a sweep
+/// touches every line exactly once, so caching the buffer only evicts
+/// everything else.  Derived from the last-level cache size when the OS
+/// reports it, with a conservative default otherwise.
+[[nodiscard]] std::size_t nontemporal_threshold_bytes() noexcept;
+
 class RealMemoryBackend final : public MemoryBackend {
  public:
   /// Allocates `bytes` (rounded down to whole words).  `threads` sizes an

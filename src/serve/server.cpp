@@ -178,17 +178,29 @@ void Server::worker_loop() {
 
 void Server::serve_connection(int fd) {
   std::string pending;
+  std::size_t scanned = 0;  ///< prefix of `pending` known to hold no newline
   char buf[4096];
   while (true) {
-    const std::size_t newline = pending.find('\n');
+    const std::size_t newline = pending.find('\n', scanned);
+    const std::size_t line_bytes =
+        newline != std::string::npos ? newline : pending.size();
+    if (line_bytes > kMaxRequestLineBytes) {
+      (void)send_all(fd, frame_response(false, "request line exceeds " +
+                                                   std::to_string(
+                                                       kMaxRequestLineBytes) +
+                                                   " bytes"));
+      return;
+    }
     if (newline != std::string::npos) {
       std::string line = pending.substr(0, newline);
       pending.erase(0, newline + 1);
+      scanned = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       if (!send_all(fd, handle_line(line))) return;
       continue;
     }
+    scanned = pending.size();
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n > 0) {
       pending.append(buf, static_cast<std::size_t>(n));

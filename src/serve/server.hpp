@@ -22,10 +22,15 @@
 //   stats           — generation, query count, cache counters
 //   swap P [P...]   — reopen the store from path(s), bump generation
 //   shutdown        — acknowledge, then release wait()
+//
+// A request line longer than kMaxRequestLineBytes (newline excluded) gets an
+// ERR response and the connection is closed, so a client that never sends a
+// newline cannot grow server memory without bound.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,6 +44,10 @@
 #include "store/reader.hpp"
 
 namespace unp::serve {
+
+/// Longest accepted request line, newline excluded.  Real requests are a
+/// few dozen bytes (a swap naming many partition paths a few KiB).
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 /// Renders one request line against a read-only view of the current store
 /// and returns the complete response body.  Called concurrently from worker

@@ -85,13 +85,20 @@ struct StoreKernels {
   MaskRangeI64Fn mask_range_i64 = nullptr;
   MaskClassFn mask_class = nullptr;
   DecodeZigzagDeltasFn decode_zigzag_deltas = nullptr;
+
+  // The per-ISA sets, one per ISA translation unit (see simd_dispatch.hpp).
+  [[nodiscard]] static const StoreKernels& scalar() noexcept;
+  [[nodiscard]] static const StoreKernels& sse2() noexcept;
+  [[nodiscard]] static const StoreKernels& avx2() noexcept;
+  [[nodiscard]] static const StoreKernels& neon() noexcept;
 };
 
-/// Kernel set for `isa`; requires simd::is_supported(isa).
+/// Kernel set for `isa`; requires simd::is_supported(isa).  Defined in
+/// scalar.cpp, so the dispatch templates stay out of the AVX2 unit.
 [[nodiscard]] const StoreKernels& store_kernels_for(Isa isa);
 
-/// The process-wide set: resolved once alongside the scanner's from
-/// cpuid/HWCAP and the UNP_KERNEL override.
+/// The process-wide set (simd::active_kernels), latched alongside the
+/// scanner's and the encoder's.
 [[nodiscard]] const StoreKernels& active_store_kernels();
 
 }  // namespace unp::store::kernels

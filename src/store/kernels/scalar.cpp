@@ -75,7 +75,7 @@ void mask_class_scalar(const std::uint8_t* codes, std::size_t n,
 
 }  // namespace
 
-const StoreKernels& scalar_store_kernel_set() noexcept {
+const StoreKernels& StoreKernels::scalar() noexcept {
   static constexpr StoreKernels kSet{
       Isa::kScalar,          "scalar",
       decode_varints_scalar, unpack_bits_scalar,
@@ -83,6 +83,14 @@ const StoreKernels& scalar_store_kernel_set() noexcept {
       mask_class_scalar,     decode_zigzag_deltas_scalar,
   };
   return kSet;
+}
+
+const StoreKernels& store_kernels_for(Isa isa) {
+  return simd::kernels_for<StoreKernels>(isa);
+}
+
+const StoreKernels& active_store_kernels() {
+  return simd::active_kernels<StoreKernels>();
 }
 
 }  // namespace unp::store::kernels

@@ -69,7 +69,7 @@ void encode_zigzag_deltas_avx2(const std::uint64_t* values, std::size_t count,
 
 }  // namespace
 
-const EncodeKernels& avx2_encode_kernel_set() noexcept {
+const EncodeKernels& EncodeKernels::avx2() noexcept {
   static constexpr EncodeKernels kSet{
       Isa::kAvx2,
       "avx2",

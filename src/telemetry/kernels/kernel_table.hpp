@@ -1,8 +1,4 @@
-// Internal: the per-ISA encode kernel set objects and the shared encode
-// building blocks.  Each ISA translation unit defines its set behind an
-// architecture guard; the dispatcher links only the ones the target
-// architecture can express (runtime support is a separate cpuid/HWCAP
-// question answered by simd::is_supported()).
+// Internal: the encode building blocks the per-ISA translation units share.
 #pragma once
 
 #include <bit>
@@ -15,19 +11,6 @@
 #include "telemetry/kernels/kernels.hpp"
 
 namespace unp::telemetry::kernels {
-
-// Accessor functions (not extern const objects): cross-TU data references
-// from a static archive need text relocations under a PIE link, calls don't.
-[[nodiscard]] const EncodeKernels& scalar_encode_kernel_set() noexcept;
-
-#if defined(__x86_64__) || defined(_M_X64)
-[[nodiscard]] const EncodeKernels& sse2_encode_kernel_set() noexcept;
-[[nodiscard]] const EncodeKernels& avx2_encode_kernel_set() noexcept;
-#endif
-
-#if defined(__aarch64__)
-[[nodiscard]] const EncodeKernels& neon_encode_kernel_set() noexcept;
-#endif
 
 // Scalar building block the vector TUs reuse for oversized values.
 // encode_varint_scalar IS put_varint's byte loop, so it defines the byte

@@ -65,13 +65,20 @@ struct EncodeKernels {
   EncodeVarintFn encode_varint = nullptr;
   EncodeVarintsFn encode_varints = nullptr;
   EncodeZigzagDeltasFn encode_zigzag_deltas = nullptr;
+
+  // The per-ISA sets, one per ISA translation unit (see simd_dispatch.hpp).
+  [[nodiscard]] static const EncodeKernels& scalar() noexcept;
+  [[nodiscard]] static const EncodeKernels& sse2() noexcept;
+  [[nodiscard]] static const EncodeKernels& avx2() noexcept;
+  [[nodiscard]] static const EncodeKernels& neon() noexcept;
 };
 
-/// Kernel set for `isa`; requires simd::is_supported(isa).
+/// Kernel set for `isa`; requires simd::is_supported(isa).  Defined in
+/// scalar.cpp, so the dispatch templates stay out of the AVX2 unit.
 [[nodiscard]] const EncodeKernels& encode_kernels_for(Isa isa);
 
-/// The process-wide set: resolved once alongside the scanner's and the
-/// store's from cpuid/HWCAP and the UNP_KERNEL override.
+/// The process-wide set (simd::active_kernels), latched alongside the
+/// scanner's and the store's.
 [[nodiscard]] const EncodeKernels& active_encode_kernels();
 
 /// Append through the growth-counting choke point: bumps the debug counter

@@ -27,7 +27,7 @@ void encode_zigzag_deltas_neon(const std::uint64_t* values, std::size_t count,
 
 }  // namespace
 
-const EncodeKernels& neon_encode_kernel_set() noexcept {
+const EncodeKernels& EncodeKernels::neon() noexcept {
   static constexpr EncodeKernels kSet{
       Isa::kNeon,
       "neon",

@@ -29,7 +29,7 @@ void encode_zigzag_deltas_sse2(const std::uint64_t* values, std::size_t count,
 
 }  // namespace
 
-const EncodeKernels& sse2_encode_kernel_set() noexcept {
+const EncodeKernels& EncodeKernels::sse2() noexcept {
   static constexpr EncodeKernels kSet{
       Isa::kSse2,
       "sse2",

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <set>
 #include <span>
@@ -18,7 +19,7 @@
 #include "common/thread_pool.hpp"
 #include "ecc/engine.hpp"
 #include "ecc/registry.hpp"
-#include "resilience/quarantine.hpp"
+#include "policy/builtin.hpp"
 #include "resilience/sdc_isolation.hpp"
 #include "sim/campaign.hpp"
 
@@ -259,10 +260,8 @@ TEST(PaperRegime, SectionIIIIAndFig13) {
 TEST(PaperQuarantine, TableII) {
   const Pipeline& p = pipeline();
   const CampaignWindow& window = p.campaign.archive.window();
-  resilience::QuarantineConfig base;
-  base.excluded_nodes.push_back({2, 4});
-  const auto sweep = resilience::quarantine_sweep(
-      p.extraction.faults, window, {0, 5, 10, 15, 20, 25, 30}, base);
+  const auto sweep = policy::replay_quarantine_periods(
+      window, p.extraction.faults, {0, 5, 10, 15, 20, 25, 30}, {{2, 4}});
 
   // Row shapes: errors collapse after the first step, MTBF rises steeply,
   // node-days stay within a few hundred, availability loss under ~0.2%.
@@ -274,6 +273,32 @@ TEST(PaperQuarantine, TableII) {
   EXPECT_LT(sweep.back().availability_loss, 0.002);  // paper: <0.1%
   for (std::size_t i = 1; i < sweep.size(); ++i) {
     EXPECT_LE(sweep[i].counted_errors, sweep[i - 1].counted_errors + 5);
+  }
+
+  // Exact rows of the seed-42 campaign: the oracle any quarantine engine
+  // must reproduce (node-days, MTBF and availability derive from these).
+  struct Row {
+    int period_days;
+    std::uint64_t counted, suppressed, entries;
+    std::int64_t quarantined_seconds;
+  };
+  const Row expected[] = {
+      {0, 3982u, 0u, 0u, 0},
+      {5, 195u, 3787u, 29u, 12528000},
+      {10, 165u, 3817u, 21u, 18144000},
+      {15, 147u, 3835u, 17u, 22032000},
+      {20, 135u, 3847u, 14u, 24192000},
+      {25, 127u, 3855u, 12u, 25920000},
+      {30, 123u, 3859u, 11u, 28512000},
+  };
+  ASSERT_EQ(sweep.size(), std::size(expected));
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    SCOPED_TRACE(expected[i].period_days);
+    EXPECT_EQ(sweep[i].period_days, expected[i].period_days);
+    EXPECT_EQ(sweep[i].counted_errors, expected[i].counted);
+    EXPECT_EQ(sweep[i].suppressed_errors, expected[i].suppressed);
+    EXPECT_EQ(sweep[i].quarantine_entries, expected[i].entries);
+    EXPECT_EQ(sweep[i].quarantined_seconds, expected[i].quarantined_seconds);
   }
 }
 

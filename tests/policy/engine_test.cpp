@@ -1,7 +1,8 @@
-// The shadow engine's acceptance property: a ThresholdQuarantinePolicy run
-// online against the record stream produces an outcome ledger bit-identical
-// to resilience::simulate_quarantine over the finished extraction — field
-// for field, including the derived doubles.
+// The shadow engine's acceptance property — one engine, two entries: a
+// ThresholdQuarantinePolicy run online against the record stream produces an
+// outcome ledger bit-identical to the same policy replayed through
+// PolicyEngine::replay over the finished extraction — field for field,
+// including the derived doubles.
 #include "policy/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 
 #include "analysis/regime.hpp"
 #include "policy/builtin.hpp"
-#include "resilience/quarantine.hpp"
 #include "sim/campaign.hpp"
 #include "telemetry/sink.hpp"
 
@@ -78,8 +78,20 @@ EngineResult run_engine(const CampaignWindow& window,
   return engine.finish();
 }
 
-void expect_bit_identical(const resilience::QuarantineOutcome& online,
-                          const resilience::QuarantineOutcome& batch) {
+/// The replay entry over a finished extraction: one threshold policy with
+/// `period_days`, ledgers skipping `excluded`.
+QuarantineOutcome replay_threshold(const EngineResult& online,
+                                   const CampaignWindow& window,
+                                   int period_days,
+                                   const std::vector<cluster::NodeId>& excluded =
+                                       {}) {
+  return replay_quarantine_periods(window, online.extraction.faults,
+                                   {period_days}, excluded)
+      .front();
+}
+
+void expect_bit_identical(const QuarantineOutcome& online,
+                          const QuarantineOutcome& batch) {
   EXPECT_EQ(online.period_days, batch.period_days);
   EXPECT_EQ(online.counted_errors, batch.counted_errors);
   EXPECT_EQ(online.suppressed_errors, batch.suppressed_errors);
@@ -102,10 +114,59 @@ TEST(PolicyEngine, OnlineThresholdMatchesBatchOnSyntheticStream) {
 
   const EngineResult result = run_engine(w, errors, 5);
   ASSERT_TRUE(result.excluded_nodes.empty());
-  resilience::QuarantineConfig config;
-  config.period_days = 5;
   expect_bit_identical(result.outcomes[0].quarantine,
-                       simulate_quarantine(result.extraction.faults, w, config));
+                       replay_threshold(result, w, 5));
+}
+
+// The two entries agree on every ledger field of every built-in policy, not
+// only on the threshold policy's quarantine sub-ledger: page retirement,
+// placement flags, interval and protection changes, action counts, reports.
+TEST(PolicyEngine, ReplayMatchesLiveForEveryBuiltinPolicy) {
+  const CampaignWindow w;
+  std::vector<RawError> errors;
+  add_burst(errors, 10, w, 10, 20);
+  add_burst(errors, 10, w, 11, 20);
+  add_burst(errors, 10, w, 60, 20);
+  add_burst(errors, 25, w, 10, 2);
+  add_burst(errors, 40, w, 200, 8);
+  const auto register_all = [](PolicyEngine& engine) {
+    ThresholdQuarantinePolicy::Config tq;
+    tq.period_days = 5;
+    tq.retire_page_repeats = 1;
+    engine.add_policy(std::make_unique<ThresholdQuarantinePolicy>(tq));
+    engine.add_policy(std::make_unique<PredictiveQuarantinePolicy>());
+    engine.add_policy(std::make_unique<AdaptiveCheckpointPolicy>());
+    engine.add_policy(std::make_unique<ProtectionSelectionPolicy>());
+  };
+  PolicyEngine::Config config;
+  config.exclude_loudest = false;
+
+  PolicyEngine live(config);
+  register_all(live);
+  stream_errors(live, w, errors);
+  const EngineResult online = live.finish();
+
+  PolicyEngine batch(config);
+  register_all(batch);
+  const std::vector<PolicyOutcome> replayed =
+      batch.replay(w, online.extraction.faults, online.excluded_nodes);
+
+  ASSERT_EQ(replayed.size(), online.outcomes.size());
+  EXPECT_GT(online.outcomes[0].pages_retired, 0u);
+  for (std::size_t i = 0; i < replayed.size(); ++i) {
+    const PolicyOutcome& a = online.outcomes[i];
+    const PolicyOutcome& b = replayed[i];
+    SCOPED_TRACE(a.policy_name);
+    expect_bit_identical(a.quarantine, b.quarantine);
+    EXPECT_EQ(a.policy_name, b.policy_name);
+    EXPECT_EQ(a.pages_retired, b.pages_retired);
+    EXPECT_EQ(a.retired_absorbed_errors, b.retired_absorbed_errors);
+    EXPECT_EQ(a.placement_flags, b.placement_flags);
+    EXPECT_EQ(a.interval_changes, b.interval_changes);
+    EXPECT_EQ(a.protection_changes, b.protection_changes);
+    EXPECT_EQ(a.actions_emitted, b.actions_emitted);
+    EXPECT_EQ(a.report, b.report);
+  }
 }
 
 // Satellite edge case: period 0 disables quarantine — everything is counted,
@@ -120,8 +181,7 @@ TEST(PolicyEngine, PeriodZeroCountsEverything) {
   EXPECT_EQ(outcome.suppressed_errors, 0u);
   EXPECT_EQ(outcome.quarantine_entries, 0u);
   EXPECT_EQ(outcome.quarantined_seconds, 0);
-  expect_bit_identical(outcome, simulate_quarantine(result.extraction.faults, w,
-                                                    resilience::QuarantineConfig{}));
+  expect_bit_identical(outcome, replay_threshold(result, w, 0));
 }
 
 // Satellite edge case: a node with a single event never crosses the >3/day
@@ -150,14 +210,11 @@ TEST(PolicyEngine, QuarantineStraddlingCampaignEndIsClipped) {
   // Trigger = 4th error; the cut runs from it to the end of the campaign.
   const TimePoint trigger = w.start + last_day * kSecondsPerDay + 3600 + 3 * 600;
   EXPECT_EQ(outcome.quarantined_seconds, w.end - trigger);
-  resilience::QuarantineConfig config;
-  config.period_days = 30;
-  expect_bit_identical(outcome,
-                       simulate_quarantine(result.extraction.faults, w, config));
+  expect_bit_identical(outcome, replay_threshold(result, w, 30));
 }
 
-// Satellite: the full batch sweep and seven online threshold policies agree
-// period by period on identical input (one engine pass).
+// The replayed sweep and seven online threshold policies agree period by
+// period on identical input (one engine pass each).
 TEST(PolicyEngine, SweepAgreesWithBatchSweepOnIdenticalInput) {
   const CampaignWindow w;
   std::vector<RawError> errors;
@@ -178,7 +235,7 @@ TEST(PolicyEngine, SweepAgreesWithBatchSweepOnIdenticalInput) {
   const EngineResult result = engine.finish();
 
   const auto batch =
-      resilience::quarantine_sweep(result.extraction.faults, w, periods);
+      replay_quarantine_periods(w, result.extraction.faults, periods, {});
   ASSERT_EQ(batch.size(), result.outcomes.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     expect_bit_identical(result.outcomes[i].quarantine, batch[i]);
@@ -199,15 +256,12 @@ TEST(PolicyEngine, LoudestNodeExcludedFromLedgers) {
   EXPECT_EQ(outcome.counted_errors, 2u);  // only the quiet node remains
   EXPECT_EQ(outcome.quarantine_entries, 0u);
 
-  resilience::QuarantineConfig config;
-  config.period_days = 5;
-  config.excluded_nodes.push_back(*result.loudest);
   expect_bit_identical(outcome,
-                       simulate_quarantine(result.extraction.faults, w, config));
+                       replay_threshold(result, w, 5, {*result.loudest}));
 }
 
 // Acceptance: the full default campaign, streamed once, reproduces the
-// entire batch Table II sweep bit-identically (what `unp_policy --sweep`
+// entire replayed Table II sweep bit-identically (what `unp_policy --sweep`
 // prints vs bench_tab2_quarantine).
 TEST(PolicyEngine, DefaultCampaignSweepBitIdenticalToBatch) {
   const sim::CampaignResult& campaign = sim::default_campaign();
@@ -230,10 +284,10 @@ TEST(PolicyEngine, DefaultCampaignSweepBitIdenticalToBatch) {
 
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
       result.extraction.faults, campaign.archive.window());
-  resilience::QuarantineConfig base;
-  if (regimes.excluded) base.excluded_nodes.push_back(*regimes.excluded);
-  const auto batch = resilience::quarantine_sweep(
-      result.extraction.faults, campaign.archive.window(), periods, base);
+  std::vector<cluster::NodeId> excluded;
+  if (regimes.excluded) excluded.push_back(*regimes.excluded);
+  const auto batch = replay_quarantine_periods(
+      campaign.archive.window(), result.extraction.faults, periods, excluded);
   ASSERT_EQ(result.outcomes.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     expect_bit_identical(result.outcomes[i].quarantine, batch[i]);
@@ -247,7 +301,7 @@ TEST(PolicyEngine, OutcomesInvariantAcrossStreamThreadCounts) {
   config.window.start = from_civil_utc({2015, 9, 1, 0, 0, 0});
   config.window.end = from_civil_utc({2015, 9, 21, 0, 0, 0});
 
-  std::vector<resilience::QuarantineOutcome> outcomes;
+  std::vector<QuarantineOutcome> outcomes;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     PolicyEngine engine;
     engine.add_policy(std::make_unique<ThresholdQuarantinePolicy>());

@@ -1,10 +1,14 @@
-#include "resilience/quarantine.hpp"
-
+// Table II's quarantine semantics, driven through the policy engine's
+// replay entry: a ThresholdQuarantinePolicy shadow per period over a
+// finished fault list (replay_quarantine_periods).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
-namespace unp::resilience {
+#include "policy/builtin.hpp"
+
+namespace unp::policy {
 namespace {
 
 using analysis::FaultRecord;
@@ -29,11 +33,18 @@ std::vector<FaultRecord> burst(cluster::NodeId node, const CampaignWindow& w,
   return out;
 }
 
+/// One period's outcome, replayed with `excluded` left out of the ledger.
+QuarantineOutcome replay_period(const std::vector<FaultRecord>& faults,
+                                const CampaignWindow& w, int period_days,
+                                const std::vector<cluster::NodeId>& excluded =
+                                    {}) {
+  return replay_quarantine_periods(w, faults, {period_days}, excluded).front();
+}
+
 TEST(Quarantine, DisabledCountsEverything) {
   const CampaignWindow w;
   const auto faults = burst({1, 1}, w, 10, 20);
-  const QuarantineOutcome outcome =
-      simulate_quarantine(faults, w, QuarantineConfig{});
+  const QuarantineOutcome outcome = replay_period(faults, w, 0);
   EXPECT_EQ(outcome.counted_errors, 20u);
   EXPECT_EQ(outcome.suppressed_errors, 0u);
   EXPECT_DOUBLE_EQ(outcome.node_days_quarantined, 0.0);
@@ -42,9 +53,7 @@ TEST(Quarantine, DisabledCountsEverything) {
 TEST(Quarantine, TriggersAfterThreshold) {
   const CampaignWindow w;
   const auto faults = burst({1, 1}, w, 10, 20);
-  QuarantineConfig config;
-  config.period_days = 5;
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 5);
   // Errors 1..4 counted (4th crosses the >3 threshold), the rest absorbed.
   EXPECT_EQ(outcome.counted_errors, 4u);
   EXPECT_EQ(outcome.suppressed_errors, 16u);
@@ -57,9 +66,7 @@ TEST(Quarantine, RecurringBurstsRetrigger) {
   std::vector<analysis::FaultRecord> faults = burst({1, 1}, w, 10, 20);
   auto later = burst({1, 1}, w, 30, 20);  // after the quarantine expires
   faults.insert(faults.end(), later.begin(), later.end());
-  QuarantineConfig config;
-  config.period_days = 5;
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 5);
   EXPECT_EQ(outcome.quarantine_entries, 2u);
   EXPECT_EQ(outcome.counted_errors, 8u);
 }
@@ -69,9 +76,7 @@ TEST(Quarantine, BurstInsideQuarantineAbsorbed) {
   std::vector<analysis::FaultRecord> faults = burst({1, 1}, w, 10, 20);
   auto inside = burst({1, 1}, w, 12, 20);  // still quarantined
   faults.insert(faults.end(), inside.begin(), inside.end());
-  QuarantineConfig config;
-  config.period_days = 10;
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 10);
   EXPECT_EQ(outcome.quarantine_entries, 1u);
   EXPECT_EQ(outcome.counted_errors, 4u);
   EXPECT_EQ(outcome.suppressed_errors, 36u);
@@ -86,9 +91,7 @@ TEST(Quarantine, NodesIndependent) {
             [](const FaultRecord& a, const FaultRecord& b) {
               return a.first_seen < b.first_seen;
             });
-  QuarantineConfig config;
-  config.period_days = 5;
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 5);
   EXPECT_EQ(outcome.counted_errors, 6u);  // 4 from the loud one + 2 quiet
   EXPECT_EQ(outcome.quarantine_entries, 1u);
 }
@@ -96,10 +99,7 @@ TEST(Quarantine, NodesIndependent) {
 TEST(Quarantine, ExcludedNodeIgnoredEntirely) {
   const CampaignWindow w;
   const auto faults = burst({2, 4}, w, 10, 100);
-  QuarantineConfig config;
-  config.period_days = 5;
-  config.excluded_nodes.push_back({2, 4});
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 5, {{2, 4}});
   EXPECT_EQ(outcome.counted_errors, 0u);
   EXPECT_EQ(outcome.suppressed_errors, 0u);
 }
@@ -107,9 +107,7 @@ TEST(Quarantine, ExcludedNodeIgnoredEntirely) {
 TEST(Quarantine, MtbfFromCountedErrors) {
   const CampaignWindow w;
   const auto faults = burst({1, 1}, w, 10, 20);
-  QuarantineConfig config;
-  config.period_days = 5;
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 5);
   const double campaign_hours =
       static_cast<double>(w.duration_seconds()) / kSecondsPerHour;
   EXPECT_DOUBLE_EQ(outcome.system_mtbf_hours, campaign_hours / 4.0);
@@ -119,17 +117,14 @@ TEST(Quarantine, QuarantineClippedAtCampaignEnd) {
   const CampaignWindow w;
   const int last_day = static_cast<int>(w.duration_days()) - 2;
   const auto faults = burst({1, 1}, w, last_day, 10);
-  QuarantineConfig config;
-  config.period_days = 30;
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 30);
   EXPECT_LT(outcome.node_days_quarantined, 3.0);
 }
 
 TEST(Quarantine, PeriodZeroAccumulatesNoSeconds) {
   const CampaignWindow w;
   const auto faults = burst({1, 1}, w, 10, 20);
-  const QuarantineOutcome outcome =
-      simulate_quarantine(faults, w, QuarantineConfig{});
+  const QuarantineOutcome outcome = replay_period(faults, w, 0);
   EXPECT_EQ(outcome.quarantined_seconds, 0);
   EXPECT_EQ(outcome.quarantine_entries, 0u);
   EXPECT_DOUBLE_EQ(outcome.availability_loss, 0.0);
@@ -138,9 +133,7 @@ TEST(Quarantine, PeriodZeroAccumulatesNoSeconds) {
 TEST(Quarantine, SingleEventNodeNeverTriggers) {
   const CampaignWindow w;
   const auto faults = burst({1, 1}, w, 10, 1);
-  QuarantineConfig config;
-  config.period_days = 30;
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 30);
   EXPECT_EQ(outcome.counted_errors, 1u);
   EXPECT_EQ(outcome.suppressed_errors, 0u);
   EXPECT_EQ(outcome.quarantine_entries, 0u);
@@ -151,9 +144,7 @@ TEST(Quarantine, StraddlingWindowEndClipsExactSeconds) {
   const CampaignWindow w;
   const int last_day = static_cast<int>(w.duration_days()) - 2;
   const auto faults = burst({1, 1}, w, last_day, 10);
-  QuarantineConfig config;
-  config.period_days = 30;
-  const QuarantineOutcome outcome = simulate_quarantine(faults, w, config);
+  const QuarantineOutcome outcome = replay_period(faults, w, 30);
   // The 4th error triggers; its 30-day quarantine is clipped at w.end and
   // the ledger holds the exact integer remainder.
   const TimePoint trigger =
@@ -174,7 +165,7 @@ TEST(Quarantine, SweepMonotonicShape) {
     faults.insert(faults.end(), b.begin(), b.end());
   }
   const auto sweep =
-      quarantine_sweep(faults, w, {0, 5, 10, 15, 20, 25, 30});
+      replay_quarantine_periods(w, faults, {0, 5, 10, 15, 20, 25, 30}, {});
   for (std::size_t i = 1; i < sweep.size(); ++i) {
     EXPECT_LE(sweep[i].counted_errors, sweep[i - 1].counted_errors);
     EXPECT_GE(sweep[i].system_mtbf_hours, sweep[i - 1].system_mtbf_hours);
@@ -184,4 +175,4 @@ TEST(Quarantine, SweepMonotonicShape) {
 }
 
 }  // namespace
-}  // namespace unp::resilience
+}  // namespace unp::policy

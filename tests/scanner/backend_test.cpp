@@ -20,6 +20,12 @@ std::vector<Mismatch> collect(MemoryBackend& backend, Word expected, Word next) 
   return out;
 }
 
+TEST(RealBackend, NontemporalThresholdIsStableAndPositive) {
+  const std::size_t t = nontemporal_threshold_bytes();
+  EXPECT_GT(t, 0u);
+  EXPECT_EQ(t, nontemporal_threshold_bytes());
+}
+
 TEST(RealBackend, CleanPassReportsNothing) {
   RealMemoryBackend backend(1 << 16);
   backend.fill(0x00000000u);

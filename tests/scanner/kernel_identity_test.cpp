@@ -78,12 +78,12 @@ TEST(KernelIdentity, RecordStreamByteIdenticalScalarVsDispatched) {
   // What UNP_KERNEL=scalar resolves to...
   std::string warning;
   const kernels::Kernels& scalar =
-      kernels::kernels_for(kernels::resolve_isa("scalar", &warning));
+      kernels::kernels_for(simd::resolve_isa("scalar", &warning));
   ASSERT_TRUE(warning.empty()) << warning;
-  ASSERT_EQ(scalar.isa, kernels::Isa::kScalar);
+  ASSERT_EQ(scalar.isa, simd::Isa::kScalar);
   // ...versus the unset-environment dispatch (the best path).
   const kernels::Kernels& best =
-      kernels::kernels_for(kernels::resolve_isa(nullptr, nullptr));
+      kernels::kernels_for(simd::resolve_isa(nullptr, nullptr));
 
   for (const PatternKind pattern :
        {PatternKind::kAlternating, PatternKind::kCounter}) {
@@ -100,13 +100,13 @@ TEST(KernelIdentity, RecordStreamByteIdenticalScalarVsDispatched) {
 
 TEST(KernelIdentity, EverySupportedIsaProducesTheSameBytes) {
   const std::string want =
-      run_session(kernels::kernels_for(kernels::Isa::kScalar), 1,
+      run_session(kernels::kernels_for(simd::Isa::kScalar), 1,
                   PatternKind::kAlternating);
-  for (const kernels::Isa isa : kernels::supported_isas()) {
+  for (const simd::Isa isa : simd::supported_isas()) {
     EXPECT_EQ(run_session(kernels::kernels_for(isa), 2,
                           PatternKind::kAlternating),
               want)
-        << to_string(isa);
+        << simd::to_string(isa);
   }
 }
 

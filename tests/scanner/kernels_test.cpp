@@ -41,64 +41,20 @@ KernelRun run_kernel(const Kernels& k, const std::vector<Word>& input,
   return r;
 }
 
-TEST(KernelDispatch, ToStringParseRoundTrip) {
-  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kNeon}) {
-    Isa parsed = Isa::kScalar;
-    ASSERT_TRUE(parse_isa(to_string(isa), parsed));
-    EXPECT_EQ(parsed, isa);
-  }
-  Isa out;
-  EXPECT_FALSE(parse_isa("", out));
-  EXPECT_FALSE(parse_isa("avx512", out));
-  EXPECT_FALSE(parse_isa("Scalar", out));
-}
-
-TEST(KernelDispatch, ScalarAlwaysSupportedAndFirst) {
-  EXPECT_TRUE(is_supported(Isa::kScalar));
-  const auto isas = supported_isas();
-  ASSERT_FALSE(isas.empty());
-  EXPECT_EQ(isas.front(), Isa::kScalar);
-  for (const Isa isa : isas) EXPECT_TRUE(is_supported(isa));
-  EXPECT_TRUE(is_supported(best_supported_isa()));
-}
-
-TEST(KernelDispatch, ResolveHonoursSupportedRequest) {
-  for (const Isa isa : supported_isas()) {
-    std::string warning;
-    EXPECT_EQ(resolve_isa(to_string(isa), &warning), isa);
-    EXPECT_TRUE(warning.empty()) << warning;
+// Set selection (isa field, name, active latch) is checked once for every
+// family in tests/common/simd_dispatch_test.cpp; this pins the set contents.
+TEST(KernelSets, EveryIsaSetIsComplete) {
+  for (const simd::Isa isa : simd::supported_isas()) {
+    const Kernels& k = kernels_for(isa);
+    EXPECT_NE(k.fill, nullptr);
+    EXPECT_NE(k.verify_and_write, nullptr);
   }
 }
 
-TEST(KernelDispatch, ResolveFallsBackWithWarning) {
-  std::string warning;
-  EXPECT_EQ(resolve_isa(nullptr, &warning), best_supported_isa());
-  EXPECT_TRUE(warning.empty());
-  EXPECT_EQ(resolve_isa("", &warning), best_supported_isa());
-  EXPECT_TRUE(warning.empty());
-
-  EXPECT_EQ(resolve_isa("not-an-isa", &warning), best_supported_isa());
-  EXPECT_NE(warning.find("not recognised"), std::string::npos) << warning;
-
-#if defined(__x86_64__)
-  warning.clear();
-  EXPECT_EQ(resolve_isa("neon", &warning), best_supported_isa());
-  EXPECT_NE(warning.find("not supported"), std::string::npos) << warning;
-#endif
-}
-
-TEST(KernelDispatch, ActiveKernelsIsSupported) {
-  const Kernels& k = active_kernels();
-  EXPECT_TRUE(is_supported(k.isa));
-  EXPECT_STREQ(k.name, to_string(k.isa));
-  EXPECT_NE(k.fill, nullptr);
-  EXPECT_NE(k.verify_and_write, nullptr);
-}
-
-class KernelEquivalence : public ::testing::TestWithParam<Isa> {
+class KernelEquivalence : public ::testing::TestWithParam<simd::Isa> {
  protected:
   void SetUp() override {
-    if (!is_supported(GetParam())) GTEST_SKIP() << "ISA not supported here";
+    if (!simd::is_supported(GetParam())) GTEST_SKIP() << "ISA not supported here";
   }
 };
 
@@ -240,10 +196,11 @@ TEST_P(KernelEquivalence, MaskedSweepMatchesScalarMaskLoop) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIsas, KernelEquivalence,
-                         ::testing::Values(Isa::kScalar, Isa::kSse2,
-                                           Isa::kAvx2, Isa::kNeon),
+                         ::testing::Values(simd::Isa::kScalar,
+                                           simd::Isa::kSse2, simd::Isa::kAvx2,
+                                           simd::Isa::kNeon),
                          [](const auto& param_info) {
-                           return std::string(to_string(param_info.param));
+                           return std::string(simd::to_string(param_info.param));
                          });
 
 TEST(IntervalSetTest, CoalescesOverlapsAndAdjacency) {
@@ -396,12 +353,6 @@ TEST(IntervalSetTest, AdversarialChurnKeepsGapWalkCanonical) {
     if (round % 20 == 19) expect_matches_bitmap();
   }
   expect_matches_bitmap();
-}
-
-TEST(KernelNontemporal, ThresholdIsStableAndPositive) {
-  const std::size_t t = nontemporal_threshold_bytes();
-  EXPECT_GT(t, 0u);
-  EXPECT_EQ(t, nontemporal_threshold_bytes());
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 // full query-language byte-identity contract lives with the query_render
 // tests and the perf_serve gate.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <memory>
 #include <numeric>
@@ -100,6 +103,46 @@ Response ask(std::uint16_t port, const std::string& line) {
   const Response r = roundtrip(fd, line);
   (void)::close(fd);
   return r;
+}
+
+/// What came back for raw bytes sent with no framing added.
+struct RawReply {
+  std::string bytes;
+  bool closed = false;  ///< the server closed the connection (EOF)
+};
+
+/// Send `bytes` as-is, then read until the server closes the connection or
+/// nothing arrives for `timeout_s` seconds (so a server that never answers
+/// fails the caller instead of hanging it).
+RawReply send_raw(std::uint16_t port, const std::string& bytes,
+                  int timeout_s = 5) {
+  const int fd = connect_local(port);
+  timeval tv{};
+  tv.tv_sec = timeout_s;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  RawReply reply;
+  char buf[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n > 0) {
+      reply.bytes.append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    reply.closed = n == 0;
+    break;
+  }
+  (void)::close(fd);
+  return reply;
 }
 
 TEST(ServeServerTest, PingStatsAndQueriesOverLoopback) {
@@ -255,6 +298,35 @@ TEST(ServeServerTest, FailedSwapKeepsTheOldStoreServing) {
   EXPECT_NE(bad.body.find("/nonexistent/nowhere.unpf"), std::string::npos);
   EXPECT_EQ(server->stats().generation, 1u);
   EXPECT_EQ(ask(port, "since=0").body, "80\n");
+
+  server->stop();
+  EXPECT_EQ(std::remove(path.c_str()), 0);
+}
+
+TEST(ServeServerTest, OverlongRequestLineGetsErrAndTheConnectionCloses) {
+  const std::string path = write_test_store("serve_overlong.unpf", 50);
+  std::unique_ptr<Server> server;
+  try {
+    server = start_server({path}, 1);
+  } catch (const ContractViolation& e) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << e.what();
+  }
+  const std::uint16_t port = server->port();
+
+  // One byte over the cap and no newline: a named ERR, then EOF.
+  const RawReply reply =
+      send_raw(port, std::string(kMaxRequestLineBytes + 1, 'x'));
+  EXPECT_TRUE(reply.closed) << "server kept the connection open";
+  EXPECT_EQ(reply.bytes.rfind("ERR ", 0), 0u) << reply.bytes;
+  EXPECT_NE(reply.bytes.find("request line exceeds"), std::string::npos)
+      << reply.bytes;
+
+  // A line exactly at the cap is still served, on the same single worker.
+  std::string at_cap = "since=0";
+  at_cap.resize(kMaxRequestLineBytes, ' ');
+  const Response served = ask(port, at_cap);
+  EXPECT_TRUE(served.ok) << served.body;
+  EXPECT_EQ(served.body, "50\n");
 
   server->stop();
   EXPECT_EQ(std::remove(path.c_str()), 0);

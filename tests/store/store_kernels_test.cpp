@@ -50,10 +50,11 @@ std::string make_varint_stream(std::vector<std::uint64_t>& values,
 
 std::vector<Isa> isas() { return simd::supported_isas(); }
 
-TEST(StoreKernelsTest, EveryIsaIsRegisteredAndSelfConsistent) {
+// Set selection (isa field, name, active latch) is checked once for every
+// family in tests/common/simd_dispatch_test.cpp; this pins the set contents.
+TEST(StoreKernelsTest, EveryIsaSetIsComplete) {
   for (const Isa isa : isas()) {
     const StoreKernels& k = store_kernels_for(isa);
-    EXPECT_EQ(k.isa, isa);
     EXPECT_NE(k.decode_varints, nullptr);
     EXPECT_NE(k.unpack_bits, nullptr);
     EXPECT_NE(k.mask_range_u32, nullptr);
@@ -61,8 +62,6 @@ TEST(StoreKernelsTest, EveryIsaIsRegisteredAndSelfConsistent) {
     EXPECT_NE(k.mask_class, nullptr);
     EXPECT_NE(k.decode_zigzag_deltas, nullptr);
   }
-  const StoreKernels& active = active_store_kernels();
-  EXPECT_TRUE(simd::is_supported(active.isa));
 }
 
 TEST(StoreKernelsTest, DecodeVarintsMatchesScalarOnMixedStreams) {
