@@ -9,8 +9,11 @@
 //
 //   2. Throughput - enabling the hammer generator must not tax the
 //      campaign: a hammer-enabled campaign sustains >= 90% of the
-//      time-driven baseline's record throughput over the same window
-//      (best-of-2 wall times on both sides to damp scheduler noise).
+//      time-driven baseline's record throughput over the same window.
+//      One campaign takes tens of milliseconds, so each leg repeats it
+//      until the leg lasts >= 0.25 s; 5 baseline/hammer pairs alternate
+//      which side runs first, and the gate takes the median pair ratio,
+//      so neither a cold first leg nor one stalled leg decides it.
 //
 //   3. Mitigation - the closed detect-and-retire loop recovers >= 95% of
 //      the true victim rows (kRowhammer ground truth) with bounded false
@@ -103,22 +106,38 @@ sim::CampaignConfig mitigation_campaign() {
   return config;
 }
 
-double best_of_two_campaign_s(const sim::CampaignConfig& config,
-                              std::uint64_t& records) {
-  double best = 0.0;
-  for (int attempt = 0; attempt < 2; ++attempt) {
+constexpr int kThroughputPairs = 5;  // odd, so the median is one pair
+constexpr double kMinLegSeconds = 0.25;
+
+/// One throughput leg: the campaign repeated until the leg lasts at least
+/// kMinLegSeconds.  Returns records/s over the whole leg; `campaign_s` is
+/// the mean wall time of one campaign.
+double leg_records_per_s(const sim::CampaignConfig& config,
+                         double& campaign_s) {
+  std::uint64_t records = 0;
+  int campaigns = 0;
+  double elapsed = 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  do {
     DiscardSink sink;
-    const auto t0 = std::chrono::steady_clock::now();
     (void)sim::run_campaign_streaming(config, {&sink}, /*threads=*/8);
-    const double elapsed = seconds_since(t0);
-    records = sink.records();
-    best = attempt == 0 ? elapsed : std::min(best, elapsed);
-  }
-  return best;
+    records += sink.records();
+    ++campaigns;
+    elapsed = seconds_since(t0);
+  } while (elapsed < kMinLegSeconds);
+  campaign_s = elapsed / campaigns;
+  return static_cast<double>(records) / elapsed;
+}
+
+/// Median of an odd-sized sample.
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 void write_json(const std::string& path, bool solver_ok, double baseline_s,
-                double hammer_s, double ratio, bool throughput_ok,
+                double hammer_s, const std::vector<double>& ratios,
+                bool throughput_ok,
                 std::uint64_t true_rows, std::uint64_t retired_true,
                 std::uint64_t retired_spurious, std::uint64_t rows_retired,
                 double recall, bool mitigation_ok, bool pass) {
@@ -133,7 +152,10 @@ void write_json(const std::string& path, bool solver_ok, double baseline_s,
                "  \"solver_ok\": %s,\n"
                "  \"baseline_s\": %.3f,\n"
                "  \"hammer_s\": %.3f,\n"
+               "  \"pairs\": %zu,\n"
                "  \"throughput_ratio\": %.3f,\n"
+               "  \"ratio_min\": %.3f,\n"
+               "  \"ratio_max\": %.3f,\n"
                "  \"required_ratio\": 0.90,\n"
                "  \"throughput_ok\": %s,\n"
                "  \"true_victim_rows\": %llu,\n"
@@ -145,7 +167,10 @@ void write_json(const std::string& path, bool solver_ok, double baseline_s,
                "  \"mitigation_ok\": %s,\n"
                "  \"pass\": %s\n"
                "}\n",
-               solver_ok ? "true" : "false", baseline_s, hammer_s, ratio,
+               solver_ok ? "true" : "false", baseline_s, hammer_s,
+               ratios.size(), median(ratios),
+               *std::min_element(ratios.begin(), ratios.end()),
+               *std::max_element(ratios.begin(), ratios.end()),
                throughput_ok ? "true" : "false",
                static_cast<unsigned long long>(true_rows),
                static_cast<unsigned long long>(retired_true),
@@ -178,20 +203,38 @@ int main(int argc, char** argv) {
 
   const bool solver_ok = run_solver_gate();
 
-  // --- Throughput: hammer-enabled vs time-driven baseline. ------------------
-  std::uint64_t baseline_records = 0;
-  std::uint64_t hammer_records = 0;
-  const double baseline_s =
-      best_of_two_campaign_s(throughput_campaign(false), baseline_records);
-  const double hammer_s =
-      best_of_two_campaign_s(throughput_campaign(true), hammer_records);
-  const double baseline_rps = static_cast<double>(baseline_records) / baseline_s;
-  const double hammer_rps = static_cast<double>(hammer_records) / hammer_s;
-  const double ratio = hammer_rps / baseline_rps;
+  // --- Throughput: hammer-enabled vs time-driven baseline, median of
+  // kThroughputPairs pairs. ------------------------------------------------
+  std::vector<double> baseline_ss;
+  std::vector<double> hammer_ss;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kThroughputPairs; ++pair) {
+    double baseline_s = 0.0;
+    double hammer_s = 0.0;
+    double baseline_rps = 0.0;
+    double hammer_rps = 0.0;
+    if (pair % 2 == 0) {
+      baseline_rps = leg_records_per_s(throughput_campaign(false), baseline_s);
+      hammer_rps = leg_records_per_s(throughput_campaign(true), hammer_s);
+    } else {
+      hammer_rps = leg_records_per_s(throughput_campaign(true), hammer_s);
+      baseline_rps = leg_records_per_s(throughput_campaign(false), baseline_s);
+    }
+    baseline_ss.push_back(baseline_s);
+    hammer_ss.push_back(hammer_s);
+    ratios.push_back(hammer_rps / baseline_rps);
+    std::printf("throughput pair %d (%s first): baseline %.0f rec/s (%.3f s), "
+                "hammer %.0f rec/s (%.3f s) -> %.2f\n",
+                pair + 1, pair % 2 == 0 ? "baseline" : "hammer", baseline_rps,
+                baseline_s, hammer_rps, hammer_s, hammer_rps / baseline_rps);
+  }
+  const double ratio = median(ratios);
   const bool throughput_ok = ratio >= 0.90;
-  std::printf("throughput             : baseline %.0f rec/s (%.2f s), "
-              "hammer %.0f rec/s (%.2f s), ratio %.2f %s\n",
-              baseline_rps, baseline_s, hammer_rps, hammer_s, ratio,
+  std::printf("throughput             : median ratio %.2f over %d pairs "
+              "(min %.2f, max %.2f; required 0.90) %s\n",
+              ratio, kThroughputPairs,
+              *std::min_element(ratios.begin(), ratios.end()),
+              *std::max_element(ratios.begin(), ratios.end()),
               throughput_ok ? "" : "FAILED");
 
   // --- Mitigation: the closed loop against ground truth. --------------------
@@ -214,7 +257,8 @@ int main(int argc, char** argv) {
               mitigation_ok ? "" : "FAILED");
 
   const bool pass = solver_ok && throughput_ok && mitigation_ok;
-  write_json(json_path, solver_ok, baseline_s, hammer_s, ratio, throughput_ok,
+  write_json(json_path, solver_ok, median(baseline_ss), median(hammer_ss),
+             ratios, throughput_ok,
              result.true_victim_rows, result.retired_true,
              result.retired_spurious, result.rows_retired, result.recall,
              mitigation_ok, pass);

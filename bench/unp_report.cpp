@@ -180,6 +180,13 @@ void print_sink_timings(const std::vector<const char*>& labels,
   }
 }
 
+/// Wall time of ReportAnalyzers::render: every requested section,
+/// including the sink-free replays (ext ecc, ext hammer).
+void print_render_timing(double render_ms) {
+  std::fprintf(stderr, "section render                  : %9.1f ms\n",
+               render_ms);
+}
+
 /// Store-backed path: faults + scan profile replay from a UNPF store.
 int run_store_report(const Options& opts) {
   // One parse, shared bytes: the handle owns the mapping; the reader is a
@@ -215,7 +222,10 @@ int run_store_report(const Options& opts) {
   inputs.total_terabyte_hours = profile.total_terabyte_hours;
   inputs.monitored_nodes = profile.monitored_nodes;
   inputs.extraction = &extraction;
+  inputs.pool = pool.get();
+  const auto t_render = std::chrono::steady_clock::now();
   analyzers.render(inputs);
+  const double render_ms = ms_since(t_render);
 
   std::fprintf(stderr, "\n== unp_report: store-replay timings ==\n");
   std::fprintf(stderr, "store %s  fingerprint %016llx\n",
@@ -229,6 +239,7 @@ int run_store_report(const Options& opts) {
   std::fprintf(stderr, "analyzer fan-out (%zu sinks, %zu thr) : %7.1f ms\n",
                analyzers.sinks().size(), opts.threads, fanout_ms);
   print_sink_timings(analyzers.labels(), timings);
+  print_render_timing(render_ms);
   return 0;
 }
 
@@ -251,8 +262,7 @@ int run_report(const Options& opts) {
   // --- Pass 2: fan the fault-level analyzers out on the pool. -------------
   bench::ReportAnalyzers analyzers(opts.want);
   std::unique_ptr<ThreadPool> pool;
-  if (opts.threads > 1 && analyzers.sinks().size() > 1)
-    pool = std::make_unique<ThreadPool>(opts.threads);
+  if (opts.threads > 1) pool = std::make_unique<ThreadPool>(opts.threads);
   const auto t_fanout = std::chrono::steady_clock::now();
   const std::vector<analysis::FaultSinkTiming> timings = analysis::run_fault_sinks(
       extraction.faults, {window}, analyzers.sinks(), pool.get());
@@ -268,7 +278,10 @@ int run_report(const Options& opts) {
   inputs.total_terabyte_hours = scan.total_terabyte_hours();
   inputs.monitored_nodes = scan.monitored_nodes();
   inputs.extraction = &extraction;
+  inputs.pool = pool.get();
+  const auto t_render = std::chrono::steady_clock::now();
   analyzers.render(inputs);
+  const double render_ms = ms_since(t_render);
 
   // --- Observability footer (stderr keeps section stdout byte-clean). -----
   std::fprintf(stderr, "\n== unp_report: one-pass timings ==\n");
@@ -288,6 +301,7 @@ int run_report(const Options& opts) {
   std::fprintf(stderr, "analyzer fan-out (%zu sinks, %zu thr) : %7.1f ms\n",
                analyzers.sinks().size(), opts.threads, fanout_ms);
   print_sink_timings(analyzers.labels(), timings);
+  print_render_timing(render_ms);
   return 0;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -755,7 +756,8 @@ void print_ext_alignment(const analysis::AlignmentStats& stats,
           static_cast<double>(stats.groups_examined));
 }
 
-void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out) {
+void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out,
+                   ThreadPool* pool) {
   print_header(
       "Extension - ECC evaluation engine, population replay",
       "every extracted fault mask decoded by each code; outcomes per code "
@@ -766,14 +768,15 @@ void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out) {
   masks.reserve(extraction.faults.size());
   for (const auto& f : extraction.faults) masks.push_back(f.flip_mask());
 
-  // One worker keeps the section cheap; the engine's tallies are
-  // thread-count invariant, so this choice cannot change the output.
-  ThreadPool pool(1);
+  // The engine's tallies are thread-count invariant, so the caller's pool
+  // (or one private worker without it) cannot change the output.
+  std::optional<ThreadPool> own;
+  ThreadPool& workers = pool != nullptr ? *pool : own.emplace(1);
   std::vector<ecc::PopulationResult> results;
   std::vector<ecc::CodeGeometry> geometries;
   for (const auto& spec : ecc::default_code_specs()) {
     const auto code = ecc::make_code(spec);
-    results.push_back(ecc::evaluate_population(*code, masks, pool));
+    results.push_back(ecc::evaluate_population(*code, masks, workers));
     geometries.push_back(code->geometry());
   }
 
@@ -814,77 +817,103 @@ void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out) {
       "--exhaustive enumerates the full upset spaces behind these rates.)\n");
 }
 
-void print_ext_hammer(const analysis::ExtractionResult& extraction, FILE* out) {
+namespace {
+
+/// Per-node detectors (indexed by cluster::node_index) after one replay of
+/// the extraction under `mapping`.  `fold` maps every word into the
+/// geometry's space; otherwise words outside it are dropped.
+std::vector<std::optional<faults::hammer::HammerRowDetector>> replay_detectors(
+    const analysis::ExtractionResult& extraction,
+    const dram::mapping::DramMapping& mapping, bool fold) {
+  const faults::hammer::DetectorConfig config{};
+  const std::uint64_t words = mapping.total_words();  // power of two
+  std::vector<std::optional<faults::hammer::HammerRowDetector>> per_node(
+      cluster::kTotalNodes);
+  for (const auto& f : extraction.faults) {
+    std::uint64_t word = f.virtual_address / sizeof(Word);
+    if (fold) {
+      word &= words - 1;
+    } else if (word >= words) {
+      continue;
+    }
+    auto& detector = per_node.at(static_cast<std::size_t>(
+        cluster::node_index(f.node)));
+    if (!detector) detector.emplace(mapping, config);
+    detector->observe(f.first_seen, word);
+  }
+  return per_node;
+}
+
+}  // namespace
+
+HammerCensus hammer_census(const analysis::ExtractionResult& extraction,
+                           ThreadPool* pool) {
+  // Per-geometry clustering comparison: decode the SAME fault stream under
+  // each menu geometry (word indices folded into smaller address spaces, so
+  // every geometry sees every fault) and count rows the detector flags.
+  // Only mappings whose row bits isolate the true physical neighborhoods
+  // concentrate faults onto few rows.  Task k < menu size replays geometry
+  // k; the last task builds the ledger under the primary geometry.
+  const std::vector<std::string>& menu = dram::mapping::mapping_menu();
+  HammerCensus census;
+  census.geometries.resize(menu.size());
+  const auto replay = [&](std::size_t k) {
+    if (k < menu.size()) {
+      const dram::mapping::DramMapping mapping(
+          dram::mapping::make_mapping_config(menu[k]));
+      HammerGeometryCensus& row = census.geometries[k];
+      row.geometry = menu[k];
+      for (const auto& det : replay_detectors(extraction, mapping, true)) {
+        if (!det) continue;
+        row.rows_triggered += det->detections().size();
+        row.absorbable += det->absorbable_faults();
+        if (!det->detections().empty()) ++row.nodes_triggered;
+        for (const auto& d : det->detections()) {
+          row.max_words = std::max(row.max_words, d.distinct_words);
+        }
+      }
+      return;
+    }
+    const dram::mapping::DramMapping primary(
+        dram::mapping::make_mapping_config("lpddr3:mb"));
+    const auto per_node = replay_detectors(extraction, primary, false);
+    for (std::size_t index = 0; index < per_node.size(); ++index) {
+      if (!per_node[index]) continue;
+      const auto& det = *per_node[index];
+      census.ledger_absorbable += det.absorbable_faults();
+      const cluster::NodeId id = cluster::node_from_index(static_cast<int>(index));
+      for (const auto& d : det.detections()) census.ledger.push_back({id, d});
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(menu.size() + 1, replay);
+  } else {
+    for (std::size_t k = 0; k <= menu.size(); ++k) replay(k);
+  }
+  return census;
+}
+
+void print_ext_hammer(const analysis::ExtractionResult& extraction, FILE* out,
+                      ThreadPool* pool) {
   print_header(
       "Extension - Rowhammer victim-row census",
       "observed faults re-clustered into DRAM (bank,row) coordinates; rows "
       "with >=3 distinct faulted words inside 6h are access-dependent "
       "signatures (time-driven mechanisms scatter over ~2^21 rows)", out);
 
-  const faults::hammer::DetectorConfig detector_config{};
-
-  // Per-geometry clustering comparison: decode the SAME fault stream under
-  // each menu geometry (word indices folded into smaller address spaces, so
-  // every geometry sees every fault) and count rows the detector flags.
-  // Only mappings whose row bits isolate the true physical neighborhoods
-  // concentrate faults onto few rows.
+  const HammerCensus census = hammer_census(extraction, pool);
   TextTable table({"Geometry", "Rows trig", "Nodes", "Absorbable",
                    "Max words/row"});
-  for (const std::string& name : dram::mapping::mapping_menu()) {
-    const dram::mapping::DramMapping mapping(
-        dram::mapping::make_mapping_config(name));
-    const std::uint64_t fold = mapping.total_words() - 1;  // power of two
-    std::map<int, faults::hammer::HammerRowDetector> per_node;
-    std::uint64_t rows_triggered = 0;
-    int max_words = 0;
-    for (const auto& f : extraction.faults) {
-      const std::uint64_t word = (f.virtual_address / sizeof(Word)) & fold;
-      const int index = cluster::node_index(f.node);
-      auto it = per_node.find(index);
-      if (it == per_node.end()) {
-        it = per_node
-                 .emplace(std::piecewise_construct,
-                          std::forward_as_tuple(index),
-                          std::forward_as_tuple(mapping, detector_config))
-                 .first;
-      }
-      it->second.observe(f.first_seen, word);
-    }
-    std::uint64_t absorbable = 0;
-    std::uint64_t nodes_triggered = 0;
-    for (const auto& [index, det] : per_node) {
-      rows_triggered += det.detections().size();
-      absorbable += det.absorbable_faults();
-      if (!det.detections().empty()) ++nodes_triggered;
-      for (const auto& d : det.detections()) {
-        max_words = std::max(max_words, d.distinct_words);
-      }
-    }
-    table.add_row({name, format_count(rows_triggered),
-                   format_count(nodes_triggered), format_count(absorbable),
-                   std::to_string(max_words)});
+  for (const HammerGeometryCensus& g : census.geometries) {
+    table.add_row({g.geometry, format_count(g.rows_triggered),
+                   format_count(g.nodes_triggered), format_count(g.absorbable),
+                   std::to_string(g.max_words)});
   }
   std::fprintf(out, "per-geometry detector replay (folded decode):\n\n%s\n",
                table.render().c_str());
 
   // Detected-row ledger under the primary geometry, in trigger order per
   // node (node-ordered across the fleet for determinism).
-  const dram::mapping::DramMapping primary(
-      dram::mapping::make_mapping_config("lpddr3:mb"));
-  std::map<int, faults::hammer::HammerRowDetector> per_node;
-  for (const auto& f : extraction.faults) {
-    const std::uint64_t word = f.virtual_address / sizeof(Word);
-    if (word >= primary.total_words()) continue;
-    const int index = cluster::node_index(f.node);
-    auto it = per_node.find(index);
-    if (it == per_node.end()) {
-      it = per_node
-               .emplace(std::piecewise_construct, std::forward_as_tuple(index),
-                        std::forward_as_tuple(primary, detector_config))
-               .first;
-    }
-    it->second.observe(f.first_seen, word);
-  }
   const auto format_utc = [](TimePoint t) {
     const CivilDateTime c = to_civil_utc(t);
     char buf[24];
@@ -893,27 +922,19 @@ void print_ext_hammer(const analysis::ExtractionResult& extraction, FILE* out) {
     return std::string(buf);
   };
   TextTable rows({"Node", "Bank", "Row", "Trigger (UTC)", "Words"});
-  std::uint64_t total_rows = 0, total_absorbable = 0;
-  for (const auto& [index, det] : per_node) {
-    total_absorbable += det.absorbable_faults();
-    const cluster::NodeId id{index / cluster::kSocsPerBlade,
-                             index % cluster::kSocsPerBlade};
-    for (const auto& d : det.detections()) {
-      ++total_rows;
-      if (rows.row_count() < 40) {
-        rows.add_row({cluster::node_name(id), std::to_string(d.bank),
-                      std::to_string(d.row), format_utc(d.trigger_time),
-                      std::to_string(d.distinct_words)});
-      }
-    }
+  for (const HammerLedgerRow& r : census.ledger) {
+    if (rows.row_count() >= 40) break;
+    rows.add_row({cluster::node_name(r.node), std::to_string(r.row.bank),
+                  std::to_string(r.row.row), format_utc(r.row.trigger_time),
+                  std::to_string(r.row.distinct_words)});
   }
+  const auto total_rows =
+      static_cast<unsigned long long>(census.ledger.size());
   std::fprintf(out, "victim rows under lpddr3:mb (first 40 of %llu):\n\n%s\n",
-               static_cast<unsigned long long>(total_rows),
-               rows.render().c_str());
-  std::fprintf(out, "victim rows detected           : %llu\n",
-               static_cast<unsigned long long>(total_rows));
+               total_rows, rows.render().c_str());
+  std::fprintf(out, "victim rows detected           : %llu\n", total_rows);
   std::fprintf(out, "faults a retirement would absorb: %llu\n",
-               static_cast<unsigned long long>(total_absorbable));
+               static_cast<unsigned long long>(census.ledger_absorbable));
   std::fprintf(out,
       "(dense non-hammer regions - degrading and stuck clusters - also "
       "appear here; the --hammer campaign adds the sharply clustered victim "

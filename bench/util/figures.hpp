@@ -11,8 +11,10 @@
 //     requested subset.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/alignment.hpp"
@@ -23,9 +25,15 @@
 #include "analysis/markov.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/regime.hpp"
+#include "cluster/topology.hpp"
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
+#include "faults/hammer/detect.hpp"
 #include "policy/policy.hpp"
+
+namespace unp {
+class ThreadPool;
+}
 
 namespace unp::bench {
 
@@ -126,16 +134,48 @@ void print_ext_alignment(const analysis::AlignmentStats& stats,
 /// extracted fault mask decoded by each default code (ecc/registry.hpp),
 /// outcomes per code and per corruption-multiplicity class.  Deterministic
 /// for a given fault set (the engine is thread-count invariant), so store
-/// and live paths render byte-identically.
+/// and live paths render byte-identically.  `pool` runs the replay
+/// (nullptr: a private one-thread pool).
 void print_ext_ecc(const analysis::ExtractionResult& extraction,
-                FILE* out = stdout);
+                FILE* out = stdout, ThreadPool* pool = nullptr);
 
-/// Extension: Rowhammer victim-row census — the extracted faults replayed
-/// through the spatial HammerRowDetector under every menu geometry
-/// (dram/mapping), plus the detected-row ledger for the primary geometry.
-/// Pure function of the extraction, so store and live paths render
-/// byte-identically.
+/// One menu geometry's row of the hammer census: the extraction replayed
+/// through per-node HammerRowDetectors with word indices folded into the
+/// geometry's address space.
+struct HammerGeometryCensus {
+  std::string geometry;
+  std::uint64_t rows_triggered = 0;
+  std::uint64_t nodes_triggered = 0;
+  std::uint64_t absorbable = 0;
+  int max_words = 0;  ///< most distinct words on one triggered row
+};
+
+/// One detected row of the lpddr3:mb ledger.
+struct HammerLedgerRow {
+  cluster::NodeId node;
+  faults::hammer::DetectedRow row;
+};
+
+struct HammerCensus {
+  std::vector<HammerGeometryCensus> geometries;  ///< mapping_menu() order
+  /// lpddr3:mb replay without folding (words outside the space dropped):
+  /// node order, then trigger order within a node.
+  std::vector<HammerLedgerRow> ledger;
+  std::uint64_t ledger_absorbable = 0;
+};
+
+/// The census behind print_ext_hammer.  The menu replays and the ledger
+/// replay are independent tasks on `pool` (nullptr: serial); each task's
+/// detectors are freed when it ends, and the result does not depend on
+/// the thread count.
+[[nodiscard]] HammerCensus hammer_census(
+    const analysis::ExtractionResult& extraction, ThreadPool* pool = nullptr);
+
+/// Extension: Rowhammer victim-row census — hammer_census() rendered: the
+/// per-geometry table plus the detected-row ledger for the primary
+/// geometry.  Pure function of the extraction, so store and live paths
+/// render byte-identically.
 void print_ext_hammer(const analysis::ExtractionResult& extraction,
-                FILE* out = stdout);
+                FILE* out = stdout, ThreadPool* pool = nullptr);
 
 }  // namespace unp::bench

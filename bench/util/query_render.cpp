@@ -196,6 +196,7 @@ void render_request(const store::StoreReader& reader, const QueryRequest& req,
     inputs.total_terabyte_hours = profile.total_terabyte_hours;
     inputs.monitored_nodes = profile.monitored_nodes;
     inputs.extraction = &extraction;
+    inputs.pool = scan.pool;
     analyzers.render(inputs, out);
   } else if (req.count_only) {
     store::Query query = req.query;

@@ -88,11 +88,11 @@ void ReportAnalyzers::render(const ReportInputs& in, FILE* out) {
   // No sink: the ECC engine replays the finished extraction's masks
   // directly, so the section is identical on live, store, and aggregate
   // paths by construction.
-  if (want(kExtEcc)) print_ext_ecc(*in.extraction, out);
+  if (want(kExtEcc)) print_ext_ecc(*in.extraction, out, in.pool);
   // Also sink-free: the hammer census replays the finished extraction
   // through the same HammerRowDetector the mitigation loop uses, so live,
   // store, and aggregate paths agree by construction.
-  if (want(kExtHammer)) print_ext_hammer(*in.extraction, out);
+  if (want(kExtHammer)) print_ext_hammer(*in.extraction, out, in.pool);
 }
 
 }  // namespace unp::bench

@@ -23,6 +23,10 @@
 #include "analysis/regime.hpp"
 #include "dram/address_map.hpp"
 
+namespace unp {
+class ThreadPool;
+}
+
 namespace unp::bench {
 
 /// Every printable report section, in canonical output order.
@@ -79,6 +83,9 @@ struct ReportInputs {
   double total_terabyte_hours = 0.0;
   int monitored_nodes = 0;
   const analysis::ExtractionResult* extraction = nullptr;
+  /// Runs the replay sections (ext ecc, ext hammer); nullptr renders them
+  /// serially.  Serve workers pass nullptr so no pool is ever nested.
+  ThreadPool* pool = nullptr;
 };
 
 /// Owns one instance of every fault-level analyzer a report can need and

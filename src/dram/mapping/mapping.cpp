@@ -10,28 +10,33 @@ namespace unp::dram::mapping {
 namespace {
 
 /// Pack the bits of `value` selected by `mask` into a dense integer
-/// (portable PEXT).
+/// (portable PEXT).  One step per contiguous run of mask bits; nothing
+/// branches on `value`.
 std::uint64_t extract_bits(std::uint64_t value, std::uint64_t mask) noexcept {
   std::uint64_t out = 0;
   int shift = 0;
   while (mask != 0) {
-    const std::uint64_t low = mask & (~mask + 1);
-    if (value & low) out |= std::uint64_t{1} << shift;
-    ++shift;
-    mask ^= low;
+    const int lo = std::countr_zero(mask);
+    const int len = std::countr_one(mask >> lo);
+    const std::uint64_t run = ~std::uint64_t{0} >> (64 - len);
+    out |= ((value >> lo) & run) << shift;
+    shift += len;
+    mask &= ~(run << lo);
   }
   return out;
 }
 
 /// Scatter the low bits of `value` into the positions of `mask`
-/// (portable PDEP).
+/// (portable PDEP), one contiguous run of mask bits per step.
 std::uint64_t deposit_bits(std::uint64_t value, std::uint64_t mask) noexcept {
   std::uint64_t out = 0;
   while (mask != 0) {
-    const std::uint64_t low = mask & (~mask + 1);
-    if (value & 1) out |= low;
-    value >>= 1;
-    mask ^= low;
+    const int lo = std::countr_zero(mask);
+    const int len = std::countr_one(mask >> lo);
+    const std::uint64_t run = ~std::uint64_t{0} >> (64 - len);
+    out |= (value & run) << lo;
+    value = (value >> (len - 1)) >> 1;  // len may be 64
+    mask &= ~(run << lo);
   }
   return out;
 }

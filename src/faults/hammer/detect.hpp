@@ -13,11 +13,17 @@
 // The detector is a pure function of the observed fault stream - the same
 // class drives the live HammerMitigationPolicy, the closed-loop runner and
 // the `unp_report --ext hammer` census, so all three agree by construction.
+//
+// State is flat: an open-addressed row table (key -> RowState), one
+// open-addressed set of every distinct word the detector has seen, and one
+// arena holding each row's trailing window in a fixed slot of
+// max(1, min_distinct_words) sightings.  decode() is a function, so a word
+// new to the detector is new to its row and a per-row counter gives the
+// row's distinct-word census.  A new row costs no allocation of its own.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/civil_time.hpp"
@@ -41,10 +47,10 @@ struct DetectedRow {
 class HammerRowDetector {
  public:
   HammerRowDetector(const dram::mapping::DramMapping& mapping,
-                    const DetectorConfig& config)
-      : mapping_(mapping), config_(config) {}
+                    const DetectorConfig& config);
 
-  /// Feed one observed fault (times nondecreasing).  Returns true when
+  /// Feed one observed fault (times nondecreasing; `word_index` below
+  /// mapping().total_words(), else ContractViolation).  Returns true when
   /// this observation newly triggers its row.
   bool observe(TimePoint time, std::uint64_t word_index);
 
@@ -68,15 +74,35 @@ class HammerRowDetector {
   }
 
  private:
-  struct RowState {
-    std::vector<std::pair<TimePoint, std::uint64_t>> recent;  ///< (time, word)
-    std::set<std::uint64_t> words_ever;  ///< census of distinct words
-    int detection_index = -1;  ///< into detections_, -1 until triggered
+  /// One observation inside a row's trailing window.
+  struct Sighting {
+    TimePoint time = 0;
+    std::uint64_t word = 0;
   };
+
+  struct RowState {
+    std::uint64_t key = 0;          ///< bank<<48 | row
+    std::uint32_t ordinal = 0;      ///< insertion order: window slot index
+    std::int32_t window_size = 0;   ///< live sightings in the window slot
+    std::int32_t distinct_words = 0;  ///< 0 only in an empty table slot
+    std::int32_t detection_index = -1;  ///< into detections_, -1 until triggered
+  };
+
+  /// The row's table entry, inserted (distinct_words 0) when absent.
+  RowState& find_or_insert_row(std::uint64_t key);
+  /// Adds `word` to the distinct-word set; true when it was not there.
+  bool insert_word(std::uint64_t word);
 
   const dram::mapping::DramMapping& mapping_;
   DetectorConfig config_;
-  std::map<std::uint64_t, RowState> rows_;  ///< key: bank<<48 | row
+  std::size_t window_slots_;        ///< max(1, min_distinct_words)
+  std::vector<RowState> rows_;      ///< power-of-two size, linear probing
+  std::size_t row_count_ = 0;
+  /// Power-of-two size, linear probing; empty slots hold ~0, which is
+  /// never a legal word index (total_words() <= 2^62).
+  std::vector<std::uint64_t> words_;
+  std::size_t word_count_ = 0;
+  std::vector<Sighting> windows_;   ///< window_slots_ sightings per row
   std::vector<DetectedRow> detections_;
   std::uint64_t absorbable_ = 0;
   std::uint64_t observed_ = 0;

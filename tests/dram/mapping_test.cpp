@@ -90,6 +90,71 @@ TEST(Mapping, EncodeDecodeRoundTripsEveryMenuGeometry) {
   }
 }
 
+/// Definitional decode: walk the address one bit at a time, appending each
+/// row/column bit to its field in mask order, and take every bank bit as
+/// the parity of the address under its function's full mask.
+DramCoordinate reference_decode(const MappingConfig& config,
+                                std::uint64_t addr) {
+  DramCoordinate c;
+  int row_bit = 0;
+  int column_bit = 0;
+  for (int b = 0; b < 64; ++b) {
+    const std::uint64_t bit = (addr >> b) & 1;
+    if ((config.row_mask >> b) & 1) c.row |= bit << row_bit++;
+    if ((config.column_mask >> b) & 1) c.column |= bit << column_bit++;
+  }
+  for (std::size_t k = 0; k < config.bank_functions.size(); ++k) {
+    int parity = 0;
+    for (int b = 0; b < 64; ++b) {
+      if ((config.bank_functions[k].mask() >> b) & 1) {
+        parity ^= static_cast<int>((addr >> b) & 1);
+      }
+    }
+    c.bank |= static_cast<std::uint32_t>(parity) << k;
+  }
+  return c;
+}
+
+/// A valid geometry whose row and column masks are each several runs of
+/// bits, so the gather/scatter crosses run boundaries (every menu geometry
+/// has contiguous masks).
+MappingConfig interleaved_config() {
+  MappingConfig c;
+  c.name = "interleaved";
+  c.address_bits = 12;
+  c.column_mask = 0b0001'0100'0111;  // bits 0-2, 6, 8
+  c.row_mask = 0b1110'1010'0000;     // bits 5, 7, 9-11
+  c.bank_functions = {{3, (1u << 6) | (1u << 9)}, {4, 1u << 11}};
+  return c;
+}
+
+TEST(Mapping, DecodeMatchesPerBitReference) {
+  RngStream rng(19);
+  std::vector<MappingConfig> configs;
+  for (const std::string& name : mapping_menu()) {
+    configs.push_back(make_mapping_config(name));
+  }
+  configs.push_back(interleaved_config());
+  for (const MappingConfig& config : configs) {
+    SCOPED_TRACE(config.name);
+    const DramMapping mapping{config};
+    const std::uint64_t top = mapping.total_words() - 1;
+    for (const std::uint64_t addr : {std::uint64_t{0}, top, top - 1}) {
+      EXPECT_EQ(mapping.decode(addr), reference_decode(config, addr));
+    }
+    for (int i = 0; i < 5000; ++i) {
+      // In-space addresses, then arbitrary 64-bit ones: bits above the
+      // address space belong to no mask and must be ignored.
+      const std::uint64_t addr = i % 2 == 0
+                                     ? rng.uniform_u64(mapping.total_words())
+                                     : rng.next_u64();
+      const DramCoordinate c = mapping.decode(addr);
+      EXPECT_EQ(c, reference_decode(config, addr));
+      EXPECT_EQ(mapping.encode(c), addr & top);
+    }
+  }
+}
+
 TEST(Mapping, AdjacentRowsShareBankAndDifferOnlyInRow) {
   // The hammer victim model flips rows +-1 around an aggressor within the
   // same bank; encode must honor that adjacency for every geometry.

@@ -9,7 +9,12 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/require.hpp"
+#include "common/rng.hpp"
 #include "dram/mapping/mapping.hpp"
 #include "faults/hammer/detect.hpp"
 #include "faults/suite.hpp"
@@ -233,6 +238,154 @@ TEST(Hammer, DetectorFlagsBurstRowsAndAbsorbsFollowups) {
         mapping.encode({5, 700, static_cast<std::uint64_t>(10 + i)})));
   }
   EXPECT_EQ(detector.detections().size(), 1u);
+}
+
+/// Brute-force detector from the header's definition, over the whole
+/// stream at once: an observation at time t on an untriggered row triggers
+/// it when the row's distinct words observed so far at times >= t - window
+/// number at least min_distinct_words; later observations strictly after
+/// the trigger time are absorbable; distinct_words counts every distinct
+/// word the row saw over the whole stream.
+struct OracleResult {
+  std::vector<DetectedRow> detections;
+  std::uint64_t absorbable = 0;
+};
+
+OracleResult oracle_detect(
+    const dram::mapping::DramMapping& mapping, const DetectorConfig& config,
+    const std::vector<std::pair<TimePoint, std::uint64_t>>& stream) {
+  using Key = std::pair<std::uint32_t, std::uint64_t>;  // (bank, row)
+  std::vector<Key> keys;
+  for (const auto& [time, word] : stream) {
+    const auto c = mapping.decode(word);
+    keys.emplace_back(c.bank, c.row);
+  }
+  OracleResult out;
+  std::map<Key, std::size_t> triggered;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const TimePoint time = stream[i].first;
+    if (const auto it = triggered.find(keys[i]); it != triggered.end()) {
+      if (time > out.detections[it->second].trigger_time) ++out.absorbable;
+      continue;
+    }
+    std::set<std::uint64_t> live;
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (keys[j] == keys[i] &&
+          stream[j].first >= time - config.window_seconds) {
+        live.insert(stream[j].second);
+      }
+    }
+    if (static_cast<int>(live.size()) < config.min_distinct_words) continue;
+    triggered.emplace(keys[i], out.detections.size());
+    out.detections.push_back({keys[i].first, keys[i].second, time, 0});
+  }
+  for (DetectedRow& d : out.detections) {
+    std::set<std::uint64_t> words;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      if (keys[i] == Key{d.bank, d.row}) words.insert(stream[i].second);
+    }
+    d.distinct_words = static_cast<int>(words.size());
+  }
+  return out;
+}
+
+/// A fixed-seed stream over `rows` rows of `columns` candidate words each,
+/// times stepping by whole multiples of `step` (often 0: equal timestamps)
+/// so gaps of exactly the window occur.  `near_top` puts every word in the
+/// last rows of the last bank, just below total_words().
+std::vector<std::pair<TimePoint, std::uint64_t>> random_stream(
+    const dram::mapping::DramMapping& mapping, std::uint64_t seed, int length,
+    int rows, int columns, std::int64_t step, bool near_top) {
+  RngStream rng(seed);
+  std::vector<std::pair<TimePoint, std::uint64_t>> stream;
+  TimePoint time = 1'000'000;
+  for (int i = 0; i < length; ++i) {
+    time += step * rng.uniform_int(0, 3);
+    // Half the draws hit a hot set of at most 16 rows, so long streams
+    // over thousands of rows still trigger some.
+    const auto r = rng.uniform_u64(
+        static_cast<std::uint64_t>(rng.bernoulli(0.5) ? std::min(rows, 16) : rows));
+    dram::mapping::DramCoordinate c;
+    if (near_top) {
+      c.bank = mapping.banks() - 1 - static_cast<std::uint32_t>(r % 2);
+      c.row = mapping.rows() - 1 - r / 2;
+      c.column = mapping.columns() - 1 -
+                 rng.uniform_u64(static_cast<std::uint64_t>(columns));
+    } else {
+      c.bank = static_cast<std::uint32_t>(r % mapping.banks());
+      c.row = (r * 7919) % mapping.rows();
+      c.column = rng.uniform_u64(static_cast<std::uint64_t>(columns));
+    }
+    stream.emplace_back(time, mapping.encode(c));
+  }
+  return stream;
+}
+
+TEST(Hammer, DetectorMatchesBruteForceOracle) {
+  struct Case {
+    const char* geometry;
+    int length, rows, columns;
+    std::int64_t step;
+    bool near_top;
+    int min_words;
+    std::int64_t window;
+  };
+  const Case cases[] = {
+      // Few rows, few words: repeats, refreshes and expiry at exactly
+      // window_seconds (step divides the window).
+      {"lpddr3:mb", 3000, 40, 6, 600, false, 3, 3600},
+      {"ddr4:2ch", 3000, 25, 4, 1200, false, 2, 3600},
+      {"ddr3:1ch", 3000, 30, 10, 60, false, 5, 3600},
+      {"ddr3:2ch", 2000, 20, 3, 0, false, 3, 0},  // all timestamps equal
+      {"ddr4:1ch", 2000, 50, 5, 300, false, 1, 600},
+      {"lpddr3:mb", 2000, 50, 5, 300, false, 0, 600},
+      // Word indices just below total_words().
+      {"lpddr3:mb", 3000, 30, 5, 600, true, 3, 3600},
+      {"ddr3:1ch", 3000, 30, 5, 600, true, 2, 1200},
+      // Thousands of rows: the row and word tables grow several times.
+      {"lpddr3:mb", 12000, 6000, 4, 60, false, 3, 6 * 3600},
+  };
+  std::uint64_t seed = 101;
+  for (const Case& k : cases) {
+    SCOPED_TRACE(std::string(k.geometry) + " rows=" + std::to_string(k.rows) +
+                 " m=" + std::to_string(k.min_words));
+    const dram::mapping::DramMapping mapping{
+        dram::mapping::make_mapping_config(k.geometry)};
+    const DetectorConfig config{k.min_words, k.window};
+    const auto stream = random_stream(mapping, seed++, k.length, k.rows,
+                                      k.columns, k.step, k.near_top);
+    HammerRowDetector detector(mapping, config);
+    std::vector<std::size_t> trigger_at;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      if (detector.observe(stream[i].first, stream[i].second)) {
+        trigger_at.push_back(i);
+      }
+    }
+    const OracleResult expected = oracle_detect(mapping, config, stream);
+    EXPECT_EQ(detector.observed_faults(), stream.size());
+    EXPECT_EQ(detector.absorbable_faults(), expected.absorbable);
+    ASSERT_EQ(detector.detections().size(), expected.detections.size());
+    EXPECT_EQ(trigger_at.size(), expected.detections.size());
+    EXPECT_GT(expected.detections.size(), 0u);
+    for (std::size_t d = 0; d < expected.detections.size(); ++d) {
+      const DetectedRow& got = detector.detections()[d];
+      const DetectedRow& want = expected.detections[d];
+      EXPECT_EQ(got.bank, want.bank) << "detection " << d;
+      EXPECT_EQ(got.row, want.row) << "detection " << d;
+      EXPECT_EQ(got.trigger_time, want.trigger_time) << "detection " << d;
+      EXPECT_EQ(got.distinct_words, want.distinct_words) << "detection " << d;
+    }
+  }
+}
+
+TEST(Hammer, DetectorRejectsWordsOutsideTheMapping) {
+  const dram::mapping::DramMapping mapping{
+      dram::mapping::make_mapping_config("ddr3:1ch")};
+  HammerRowDetector detector(mapping, DetectorConfig{});
+  EXPECT_FALSE(detector.observe(0, mapping.total_words() - 1));
+  EXPECT_THROW((void)detector.observe(0, mapping.total_words()),
+               ContractViolation);
+  EXPECT_EQ(detector.observed_faults(), 1u);
 }
 
 TEST(Hammer, SuiteDisabledByDefaultAndAdditiveWhenEnabled) {
