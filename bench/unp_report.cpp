@@ -99,24 +99,13 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (std::strcmp(arg, "--ext") == 0) {
       const char* v = cli.next_value(i, "--ext");
       if (!v) return false;
-      bool found = false;
-      for (const bench::ExtSection& ext : bench::ext_sections()) {
-        if (std::strcmp(v, ext.name) == 0) {
-          opts.want[ext.section] = true;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        std::string names;
-        for (const bench::ExtSection& ext : bench::ext_sections()) {
-          if (!names.empty()) names += " | ";
-          names += ext.name;
-        }
+      const bench::ExtSection* ext = bench::find_ext_section(v);
+      if (ext == nullptr) {
         std::fprintf(stderr, "unp_report: --ext expects %s, got '%s'\n",
-                     names.c_str(), v);
+                     bench::ext_section_names().c_str(), v);
         return false;
       }
+      opts.want[ext->section] = true;
       any_section = true;
     } else if (std::strcmp(arg, "--store") == 0) {
       const char* v = cli.next_value(i, "--store");

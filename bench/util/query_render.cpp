@@ -103,19 +103,12 @@ QueryRequest parse_request(const std::vector<std::string>& tokens) {
       req.want[kFigSections[n - 1]] = true;
       req.any_section = req.any_query_action = true;
     } else {  // --ext
-      if (value == "temporal") {
-        req.want[kExtTemporal] = true;
-      } else if (value == "markov") {
-        req.want[kExtMarkov] = true;
-      } else if (value == "alignment") {
-        req.want[kExtAlignment] = true;
-      } else if (value == "ecc") {
-        req.want[kExtEcc] = true;
-      } else {
-        throw QueryError("ext",
-                         "expects temporal|markov|alignment|ecc, got '" +
-                             std::string(value) + "'");
+      const ExtSection* ext = find_ext_section(value);
+      if (ext == nullptr) {
+        throw QueryError("ext", "expects " + ext_section_names() + ", got '" +
+                                    std::string(value) + "'");
       }
+      req.want[ext->section] = true;
       req.any_section = req.any_query_action = true;
     }
   }

@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/alignment.hpp"
@@ -55,15 +57,23 @@ enum Section : int {
 };
 
 /// One `--ext NAME` extension section.  The registry below is the single
-/// source of truth for the front ends: unp_report resolves `--ext` values
-/// against it and lists exactly these names when given an unknown one, so
-/// adding a section here is all it takes to expose it on the CLI.
+/// source of truth for the front ends: unp_report and the unp_query/unp_serve
+/// request parser resolve `--ext` values against it and list exactly these
+/// names when given an unknown one, so adding a section here is all it takes
+/// to expose it on the CLI and the serve wire.
 struct ExtSection {
   const char* name;
   Section section;
 };
 
 [[nodiscard]] std::span<const ExtSection> ext_sections() noexcept;
+
+/// The registered section called `name`, or nullptr.
+[[nodiscard]] const ExtSection* find_ext_section(
+    std::string_view name) noexcept;
+
+/// Every registered name, joined with " | " (for usage and error lines).
+[[nodiscard]] std::string ext_section_names();
 
 /// `--fig N` (1..13) to Section mapping.
 inline constexpr Section kFigSections[] = {kFig01, kFig02, kFig03, kFig04,

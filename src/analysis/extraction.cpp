@@ -61,6 +61,13 @@ std::vector<FaultRecord> collapse_node_log(cluster::NodeId node,
   return out;
 }
 
+bool is_pathological_node(std::uint64_t raw, std::uint64_t raw_total,
+                          const ExtractionConfig& config) noexcept {
+  return raw >= config.pathological_min_raw &&
+         static_cast<double>(raw) > config.pathological_raw_fraction *
+                                        static_cast<double>(raw_total);
+}
+
 ExtractionResult extract_faults(const telemetry::CampaignArchive& archive,
                                 const ExtractionConfig& config) {
   ExtractionResult result;
@@ -72,12 +79,7 @@ ExtractionResult extract_faults(const telemetry::CampaignArchive& archive,
     const std::uint64_t raw = log.raw_error_count();
     if (raw == 0) continue;
 
-    const bool pathological =
-        raw >= config.pathological_min_raw &&
-        static_cast<double>(raw) >
-            config.pathological_raw_fraction *
-                static_cast<double>(result.total_raw_logs);
-    if (pathological) {
+    if (is_pathological_node(raw, result.total_raw_logs, config)) {
       result.removed_nodes.push_back(node);
       result.removed_raw_logs += raw;
       continue;

@@ -81,6 +81,12 @@ struct ExtractionResult {
   }
 };
 
+/// Rule 1: a node whose `raw` log count reaches pathological_min_raw and is
+/// more than pathological_raw_fraction of the campaign's `raw_total`.
+[[nodiscard]] bool is_pathological_node(
+    std::uint64_t raw, std::uint64_t raw_total,
+    const ExtractionConfig& config) noexcept;
+
 /// Run the full extraction over a campaign archive.
 [[nodiscard]] ExtractionResult extract_faults(
     const telemetry::CampaignArchive& archive,

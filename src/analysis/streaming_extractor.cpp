@@ -111,12 +111,7 @@ ExtractionResult StreamingExtractor::finish() {
     const std::uint64_t raw = raw_per_node_[i];
     if (raw == 0) continue;
 
-    const bool pathological =
-        raw >= config_.pathological_min_raw &&
-        static_cast<double>(raw) >
-            config_.pathological_raw_fraction *
-                static_cast<double>(result.total_raw_logs);
-    if (pathological) {
+    if (is_pathological_node(raw, result.total_raw_logs, config_)) {
       result.removed_nodes.push_back(
           cluster::node_from_index(static_cast<int>(i)));
       result.removed_raw_logs += raw;

@@ -1,29 +1,13 @@
 #include "policy/hammer.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
-#include "telemetry/archive.hpp"
+#include "policy/loop.hpp"
 
 namespace unp::policy {
 
 namespace {
-
-void sort_canonical(std::vector<analysis::FaultRecord>& faults) {
-  std::sort(faults.begin(), faults.end(),
-            [](const analysis::FaultRecord& a, const analysis::FaultRecord& b) {
-              if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
-              return a.virtual_address < b.virtual_address;
-            });
-}
-
-std::uint64_t raw_log_count(const telemetry::NodeLog& log) {
-  std::uint64_t raw = 0;
-  for (const auto& run : log.error_runs()) raw += run.count;
-  return raw;
-}
 
 std::uint64_t row_key(std::uint32_t bank, std::uint64_t row) noexcept {
   return (static_cast<std::uint64_t>(bank) << 48) | row;
@@ -83,65 +67,39 @@ std::vector<std::uint64_t> row_pages(const dram::mapping::DramMapping& mapping,
 
 namespace {
 
-/// Per-node outcome of the detect -> retire -> re-simulate loop.
-struct NodeMitigation {
-  std::vector<RetiredRow> retired;  ///< trigger order, kind unset
-  std::uint64_t open_observed = 0;
-  std::uint64_t closed_observed = 0;
-  int rounds = 0;
-};
+/// The row detector's step: replay a fresh detector over what the latest
+/// round observed and retire every newly-triggered row — the scanner unmaps
+/// its pages, so its words vanish from the observable fault events.
+bool retirement_step(const HammerLoopConfig& config,
+                     const dram::mapping::DramMapping& mapping,
+                     NodeRound& round, std::set<std::uint64_t>& retired_keys,
+                     std::vector<RetiredRow>& retired) {
+  faults::hammer::HammerRowDetector detector(mapping, config.detector);
+  for (const auto& f : round.faults) {
+    const std::uint64_t word = f.virtual_address / sizeof(Word);
+    if (word >= mapping.total_words()) continue;
+    detector.observe(f.first_seen, word);
+  }
 
-NodeMitigation mitigate_node(const HammerLoopConfig& config,
-                             const dram::mapping::DramMapping& mapping,
-                             cluster::NodeId node, const sched::ScanPlan& plan,
-                             std::vector<faults::FaultEvent> events,
-                             std::uint64_t session_seed) {
-  const bool overheating = cluster::Topology::is_overheating_slot(node);
-  NodeMitigation out;
-  std::set<std::uint64_t> retired_keys;
-
-  while (out.rounds < config.max_rounds) {
-    ++out.rounds;
-    const telemetry::NodeLog log =
-        sim::simulate_node(config.campaign.session, node, plan, events,
-                           overheating, session_seed);
-    std::vector<analysis::FaultRecord> faults = analysis::collapse_node_log(
-        node, log, config.extraction.merge_window_s);
-    sort_canonical(faults);
-    if (out.rounds == 1) out.open_observed = faults.size();
-    out.closed_observed = faults.size();
-
-    // Replay the detector over what this round observed.
-    faults::hammer::HammerRowDetector detector(mapping, config.detector);
-    for (const auto& f : faults) {
-      const std::uint64_t word = f.virtual_address / sizeof(Word);
-      if (word >= mapping.total_words()) continue;
-      detector.observe(f.first_seen, word);
-    }
-
-    // Retire every newly-triggered row: the scanner unmaps its pages, so
-    // its words vanish from the observable fault events.
-    bool actuated = false;
-    for (const auto& hit : detector.detections()) {
-      if (!retired_keys.insert(row_key(hit.bank, hit.row)).second) continue;
-      out.retired.push_back(
-          RetiredRow{.node = node, .bank = hit.bank, .row = hit.row,
-                     .trigger_time = hit.trigger_time});
-      actuated = true;
-    }
-    if (!actuated) break;
-    for (auto& ev : events) {
-      std::erase_if(ev.words, [&](const faults::WordFault& w) {
-        if (w.word_index >= mapping.total_words()) return false;
-        const dram::mapping::DramCoordinate c = mapping.decode(w.word_index);
-        return retired_keys.contains(row_key(c.bank, c.row));
-      });
-    }
-    std::erase_if(events, [](const faults::FaultEvent& ev) {
-      return ev.words.empty();
+  bool actuated = false;
+  for (const auto& hit : detector.detections()) {
+    if (!retired_keys.insert(row_key(hit.bank, hit.row)).second) continue;
+    retired.push_back(RetiredRow{.node = round.node, .bank = hit.bank,
+                                 .row = hit.row,
+                                 .trigger_time = hit.trigger_time});
+    actuated = true;
+  }
+  if (!actuated) return false;
+  for (auto& ev : round.events) {
+    std::erase_if(ev.words, [&](const faults::WordFault& w) {
+      if (w.word_index >= mapping.total_words()) return false;
+      const dram::mapping::DramCoordinate c = mapping.decode(w.word_index);
+      return retired_keys.contains(row_key(c.bank, c.row));
     });
   }
-  return out;
+  std::erase_if(round.events,
+                [](const faults::FaultEvent& ev) { return ev.words.empty(); });
+  return true;
 }
 
 }  // namespace
@@ -150,99 +108,37 @@ HammerMitigationResult run_hammer_mitigation(const HammerLoopConfig& config) {
   UNP_REQUIRE(config.threads >= 1);
   UNP_REQUIRE(config.max_rounds >= 1);
   UNP_REQUIRE(config.campaign.faults.enable_hammer);
-  const sim::CampaignConfig& cc = config.campaign;
-  const dram::mapping::DramMapping mapping(
-      dram::mapping::make_mapping_config(cc.faults.hammer.mapping));
+  const dram::mapping::DramMapping mapping(dram::mapping::make_mapping_config(
+      config.campaign.faults.hammer.mapping));
 
-  // Open-loop wiring, bit-for-bit the streaming campaign's (campaign.hpp).
-  const cluster::Topology topology = sim::campaign_topology(cc);
-  const cluster::AvailabilityModel availability(sim::campaign_availability(cc));
-  const sched::ScanPlanner planner(sim::campaign_planner_config(cc));
-  const auto& nodes = topology.monitored_nodes();
+  // Open pass and pathological filter only (see header: no loudest-node
+  // exclusion — hammered nodes are loud by design), then the closed loop
+  // over every node with fault events.
+  ClosedLoopDriver driver(config.campaign, config.extraction, config.threads);
+  const sim::OpenLoopFleet& fleet = driver.fleet;
+  const auto& nodes = driver.nodes;
   const std::size_t n = nodes.size();
+  std::vector<std::set<std::uint64_t>> retired_keys(n);
+  std::vector<std::vector<RetiredRow>> retired(n);
+  const std::vector<NodeRound> converged = driver.converge(
+      [&](std::size_t i) { return !fleet.events_of(nodes[i]).empty(); },
+      [&](std::size_t i, NodeRound& round) {
+        return retirement_step(config, mapping, round, retired_keys[i],
+                               retired[i]);
+      },
+      config.max_rounds);
 
-  std::unique_ptr<ThreadPool> pool;
-  if (config.threads > 1) pool = std::make_unique<ThreadPool>(config.threads);
-  auto run_parallel = [&](std::size_t count, auto&& fn) {
-    if (pool) {
-      pool->parallel_for(count, fn);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) fn(i);
-    }
-  };
-
-  std::vector<sched::ScanPlan> plans(n);
-  run_parallel(n, [&](std::size_t i) {
-    plans[i] = planner.plan(nodes[i], availability.build(nodes[i]));
-  });
-
-  std::vector<faults::NodeContext> contexts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    contexts[i].node = nodes[i];
-    contexts[i].plan = &plans[i];
-    contexts[i].scanned_hours = plans[i].scanned_hours();
-    contexts[i].near_overheating_slot =
-        nodes[i].soc == cluster::kOverheatingSoc - 1 ||
-        nodes[i].soc == cluster::kOverheatingSoc + 1;
-  }
-  const faults::FaultModelSuite suite(cc.faults);
-  const std::vector<faults::FaultEvent> ground_truth =
-      suite.generate(contexts, sim::campaign_fault_seed(cc));
-  std::vector<std::vector<faults::FaultEvent>> per_node(
-      static_cast<std::size_t>(cluster::kStudyNodeSlots));
-  for (const auto& ev : ground_truth) {
-    per_node[static_cast<std::size_t>(cluster::node_index(ev.node))].push_back(
-        ev);
-  }
-  const std::uint64_t session_seed = sim::campaign_session_seed(cc);
-
-  // Pathological exclusion only (see header: no loudest-node exclusion —
-  // hammered nodes are loud by design).
-  std::vector<std::uint64_t> raw(n, 0);
-  run_parallel(n, [&](std::size_t i) {
-    const telemetry::NodeLog log = sim::simulate_node(
-        cc.session, nodes[i], plans[i],
-        per_node[static_cast<std::size_t>(cluster::node_index(nodes[i]))],
-        cluster::Topology::is_overheating_slot(nodes[i]), session_seed);
-    raw[i] = raw_log_count(log);
-  });
   HammerMitigationResult result;
-  std::uint64_t raw_total = 0;
-  for (std::size_t i = 0; i < n; ++i) raw_total += raw[i];
-  std::vector<bool> excluded(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool pathological =
-        raw[i] >= config.extraction.pathological_min_raw &&
-        static_cast<double>(raw[i]) >
-            config.extraction.pathological_raw_fraction *
-                static_cast<double>(raw_total);
-    if (pathological) {
-      excluded[i] = true;
-      result.excluded_nodes.push_back(nodes[i]);
-    }
-  }
-
-  // Closed loop, node by node (independent timelines: any thread count
-  // yields identical results).
-  std::vector<NodeMitigation> outcomes(n);
-  run_parallel(n, [&](std::size_t i) {
-    if (excluded[i]) return;
-    const auto& events =
-        per_node[static_cast<std::size_t>(cluster::node_index(nodes[i]))];
-    if (events.empty()) return;
-    outcomes[i] = mitigate_node(config, mapping, nodes[i], plans[i], events,
-                                session_seed);
-  });
+  result.excluded_nodes = driver.excluded_nodes;
 
   // Score against ground truth, in node order for determinism.
   for (std::size_t i = 0; i < n; ++i) {
-    if (excluded[i]) continue;
-    const auto& events =
-        per_node[static_cast<std::size_t>(cluster::node_index(nodes[i]))];
+    if (driver.excluded[i]) continue;
 
     std::set<std::uint64_t> hammered_rows;
     std::map<std::uint64_t, std::set<std::uint64_t>> dense_words;
-    for (const auto& ev : events) {
+    for (const std::uint32_t e : fleet.events_of(nodes[i])) {
+      const faults::FaultEvent& ev = fleet.ground_truth[e];
       for (const auto& w : ev.words) {
         if (w.word_index >= mapping.total_words()) continue;
         const dram::mapping::DramCoordinate c = mapping.decode(w.word_index);
@@ -256,11 +152,13 @@ HammerMitigationResult run_hammer_mitigation(const HammerLoopConfig& config) {
     }
     result.true_victim_rows += hammered_rows.size();
 
-    NodeMitigation& out = outcomes[i];
-    result.open_observed += out.open_observed;
-    result.closed_observed += out.closed_observed;
-    result.max_rounds_used = std::max(result.max_rounds_used, out.rounds);
-    for (RetiredRow& r : out.retired) {
+    const NodeRound& closed = converged[i];
+    if (closed.rounds > 0) {
+      result.open_observed += driver.open_faults[i].size();
+      result.closed_observed += closed.faults.size();
+    }
+    result.max_rounds_used = std::max(result.max_rounds_used, closed.rounds);
+    for (RetiredRow& r : retired[i]) {
       const std::uint64_t key = row_key(r.bank, r.row);
       if (hammered_rows.contains(key)) {
         r.kind = RetiredRow::Kind::kTrue;

@@ -8,15 +8,15 @@
 // observed stream, the policy's triggers agree bit-for-bit with the batch
 // census in `unp_report --ext hammer` and with the closed loop below.
 //
-// run_hammer_mitigation is the closed loop: the same campaign wiring as
-// policy::run_closed_loop (topology, availability, plans and fault events
-// exactly those of sim::run_campaign_streaming), but the controller is the
-// row detector and the actuator is row retirement.  Each round a node is
-// simulated, its collapsed faults are replayed through a fresh detector,
-// and every newly-triggered row is unmapped from the fault events STRICTLY
-// AFTER its trigger time — the evidence that produced the decision
-// survives re-simulation, so the detector re-derives the same triggers and
-// the retired set grows monotonically until no new row trips.
+// run_hammer_mitigation is the closed loop: the same ClosedLoopDriver
+// (loop.hpp) as policy::run_closed_loop, so the open-loop fleet is the
+// streaming campaign's, but the controller is the row detector, the
+// actuator is row retirement and every node with fault events runs.  Each
+// round a node's collapsed faults are replayed through a fresh detector,
+// every newly-triggered row is unmapped from the node's fault events (every
+// word on the row, including words first seen before the trigger), and the
+// node is re-simulated; the retired set only grows, so the loop ends once
+// no new row trips or after max_rounds simulations.
 //
 // Scoring closes the loop against ground truth: a retired (node, bank, row)
 // is TRUE when a kRowhammer ground-truth event landed on it, COLLATERAL

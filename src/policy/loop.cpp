@@ -1,13 +1,12 @@
 #include "policy/loop.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
-#include <memory>
 #include <set>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
-#include "telemetry/archive.hpp"
+#include "sim/session_sim.hpp"
 
 namespace unp::policy {
 
@@ -18,259 +17,233 @@ std::uint64_t page_of_word(std::uint64_t word_index) noexcept {
   return word_index >> 9;
 }
 
-void sort_canonical(std::vector<analysis::FaultRecord>& faults) {
-  std::sort(faults.begin(), faults.end(),
-            [](const analysis::FaultRecord& a, const analysis::FaultRecord& b) {
-              if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
-              return a.virtual_address < b.virtual_address;
-            });
-}
-
-std::uint64_t raw_log_count(const telemetry::NodeLog& log) {
-  std::uint64_t raw = 0;
-  for (const auto& run : log.error_runs()) raw += run.count;
-  return raw;
-}
-
 /// Everything one node's closed loop produced.
 struct NodeOutcome {
   std::vector<Actuation> actuations;
-  std::vector<std::int64_t> fault_days;  ///< campaign day of each final fault
-  std::uint64_t closed_faults = 0;
+  std::set<TimePoint> applied_cuts;
+  std::set<std::uint64_t> retired_pages;
   std::int64_t quarantined_seconds = 0;
   std::int64_t scan_seconds_removed = 0;
   std::uint64_t entries = 0;
   std::uint64_t pages_retired = 0;
-  int rounds = 0;
 };
 
-NodeOutcome run_node_loop(const ClosedLoopConfig& config,
-                          const CampaignWindow& window, cluster::NodeId node,
-                          sched::ScanPlan plan,
-                          std::vector<faults::FaultEvent> events,
-                          std::uint64_t session_seed) {
+/// The threshold controller's step: replay it over what the latest round
+/// observed, stop at the first actuation not applied yet and apply it.
+bool quarantine_step(const ClosedLoopConfig& config,
+                     const CampaignWindow& window, NodeRound& round,
+                     NodeOutcome& out) {
   const ThresholdQuarantinePolicy::Config& ctl = config.controller;
-  const bool overheating = cluster::Topology::is_overheating_slot(node);
+  if (static_cast<int>(out.actuations.size()) >=
+      config.max_actuations_per_node) {
+    return false;
+  }
 
-  NodeOutcome out;
-  std::set<TimePoint> applied_cuts;
-  std::set<std::uint64_t> retired_pages;
-
-  std::vector<analysis::FaultRecord> faults;
-  while (true) {
-    ++out.rounds;
-    const telemetry::NodeLog log = sim::simulate_node(
-        config.campaign.session, node, plan, events, overheating, session_seed);
-    faults = analysis::collapse_node_log(node, log,
-                                         config.extraction.merge_window_s);
-    sort_canonical(faults);
-
-    if (static_cast<int>(out.actuations.size()) >=
-        config.max_actuations_per_node) {
-      break;
+  TimePoint until = 0;
+  std::int64_t counting_day = -1;
+  std::uint64_t errors_today = 0;
+  std::map<std::uint64_t, std::uint64_t> addr_seen;
+  for (const auto& f : round.faults) {
+    if (ctl.period_days > 0 && f.first_seen < until) continue;
+    const std::int64_t day = window.day_of_campaign(f.first_seen);
+    if (day != counting_day) {
+      counting_day = day;
+      errors_today = 0;
     }
+    ++errors_today;
 
-    // Replay the threshold controller over what this round observed; stop at
-    // the first actuation not applied yet, apply it, re-simulate.
-    bool actuated = false;
-    TimePoint until = 0;
-    std::int64_t counting_day = -1;
-    std::uint64_t errors_today = 0;
-    std::map<std::uint64_t, std::uint64_t> addr_seen;
-    for (const auto& f : faults) {
-      if (ctl.period_days > 0 && f.first_seen < until) continue;
-      const std::int64_t day = window.day_of_campaign(f.first_seen);
-      if (day != counting_day) {
-        counting_day = day;
-        errors_today = 0;
-      }
-      ++errors_today;
-
-      if (ctl.retire_page_repeats > 0 &&
-          ++addr_seen[f.virtual_address] >= ctl.retire_page_repeats) {
-        const std::uint64_t page = f.virtual_address >> 12;
-        if (retired_pages.insert(page).second) {
-          for (auto& ev : events) {
-            std::erase_if(ev.words, [&](const faults::WordFault& w) {
-              return page_of_word(w.word_index) == page;
-            });
-          }
-          std::erase_if(events, [](const faults::FaultEvent& ev) {
-            return ev.words.empty();
+    if (ctl.retire_page_repeats > 0 &&
+        ++addr_seen[f.virtual_address] >= ctl.retire_page_repeats) {
+      const std::uint64_t page = f.virtual_address >> 12;
+      if (out.retired_pages.insert(page).second) {
+        for (auto& ev : round.events) {
+          std::erase_if(ev.words, [&](const faults::WordFault& w) {
+            return page_of_word(w.word_index) == page;
           });
-          Actuation act;
-          act.node = node;
-          act.cut = {f.first_seen, f.first_seen};
-          act.retired_page = page;
-          act.is_retirement = true;
-          out.actuations.push_back(act);
-          ++out.pages_retired;
-          actuated = true;
-          break;
         }
-      }
-
-      if (ctl.period_days > 0 && errors_today > ctl.trigger_threshold) {
-        const TimePoint until_q = std::min(
-            window.end, f.first_seen + static_cast<TimePoint>(ctl.period_days) *
-                                           kSecondsPerDay);
-        if (applied_cuts.insert(f.first_seen).second) {
-          // Cut one second AFTER the trigger so the evidence that produced
-          // the decision survives re-simulation (convergence note on top).
-          Actuation act;
-          act.node = node;
-          act.cut = {f.first_seen + 1, until_q};
-          act.summary = plan.subtract_window(act.cut, config.min_keep_seconds);
-          out.scan_seconds_removed += act.summary.seconds_removed;
-          out.quarantined_seconds += until_q - f.first_seen;
-          ++out.entries;
-          out.actuations.push_back(act);
-          actuated = true;
-          break;
-        }
-        until = until_q;  // already actuated: keep suppressing past it
+        std::erase_if(round.events, [](const faults::FaultEvent& ev) {
+          return ev.words.empty();
+        });
+        Actuation act;
+        act.node = round.node;
+        act.cut = {f.first_seen, f.first_seen};
+        act.retired_page = page;
+        act.is_retirement = true;
+        out.actuations.push_back(act);
+        ++out.pages_retired;
+        return true;
       }
     }
-    if (!actuated) break;
-  }
 
-  out.closed_faults = faults.size();
-  out.fault_days.reserve(faults.size());
-  for (const auto& f : faults) {
-    out.fault_days.push_back(window.day_of_campaign(f.first_seen));
+    if (ctl.period_days > 0 && errors_today > ctl.trigger_threshold) {
+      const TimePoint until_q = std::min(
+          window.end, f.first_seen + static_cast<TimePoint>(ctl.period_days) *
+                                         kSecondsPerDay);
+      if (out.applied_cuts.insert(f.first_seen).second) {
+        // Cut one second AFTER the trigger so the evidence that produced
+        // the decision survives re-simulation (convergence note on top).
+        Actuation act;
+        act.node = round.node;
+        act.cut = {f.first_seen + 1, until_q};
+        act.summary =
+            round.plan.subtract_window(act.cut, config.min_keep_seconds);
+        out.scan_seconds_removed += act.summary.seconds_removed;
+        out.quarantined_seconds += until_q - f.first_seen;
+        ++out.entries;
+        out.actuations.push_back(act);
+        return true;
+      }
+      until = until_q;  // already actuated: keep suppressing past it
+    }
   }
-  return out;
+  return false;
 }
 
 }  // namespace
 
+ClosedLoopDriver::ClosedLoopDriver(const sim::CampaignConfig& campaign,
+                                   const analysis::ExtractionConfig& extraction,
+                                   std::size_t threads)
+    : campaign_(campaign),
+      merge_window_s_(extraction.merge_window_s),
+      pool_(threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr),
+      fleet(sim::build_open_loop_fleet(campaign, pool_.get())),
+      nodes(fleet.topology.monitored_nodes()),
+      open_faults(nodes.size()),
+      excluded(nodes.size(), false) {
+  // A node at or over pathological_min_raw, the only kind the filter can
+  // drop, keeps its log uncollapsed until the fleet total is known, so the
+  // node the filter drops is never collapsed.
+  const std::size_t n = nodes.size();
+  std::vector<std::uint64_t> raw(n, 0);
+  std::vector<telemetry::NodeLog> deferred(n);
+  run_parallel(n, [&](std::size_t i) {
+    sim::SessionSimArena arena;
+    telemetry::NodeLog log;
+    sim::simulate_node_shared_into(
+        campaign_.session, nodes[i], fleet.plans[i],
+        cluster::Topology::is_overheating_slot(nodes[i]), fleet.session_seed,
+        fleet.ground_truth, fleet.events_of(nodes[i]), arena, log);
+    raw[i] = log.raw_error_count();
+    if (raw[i] >= extraction.pathological_min_raw) {
+      deferred[i] = std::move(log);
+    } else {
+      open_faults[i] =
+          analysis::collapse_node_log(nodes[i], log, merge_window_s_);
+    }
+  });
+  std::uint64_t raw_total = 0;
+  for (const std::uint64_t r : raw) raw_total += r;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (analysis::is_pathological_node(raw[i], raw_total, extraction)) {
+      exclude(i);
+    } else if (raw[i] >= extraction.pathological_min_raw) {
+      open_faults[i] =
+          analysis::collapse_node_log(nodes[i], deferred[i], merge_window_s_);
+    }
+  }
+}
+
+void ClosedLoopDriver::exclude(std::size_t i) {
+  excluded[i] = true;
+  excluded_nodes.push_back(nodes[i]);
+}
+
+std::vector<NodeRound> ClosedLoopDriver::converge(
+    const std::function<bool(std::size_t i)>& select, const Step& step,
+    int max_rounds) {
+  std::vector<NodeRound> rounds(nodes.size());
+  run_parallel(nodes.size(), [&](std::size_t i) {
+    NodeRound& round = rounds[i];
+    round.node = nodes[i];
+    if (excluded[i] || !select(i)) return;
+    round.plan = fleet.plans[i];
+    for (const std::uint32_t e : fleet.events_of(round.node)) {
+      round.events.push_back(fleet.ground_truth[e]);
+    }
+    round.faults = open_faults[i];
+    round.rounds = 1;  // the open pass
+    while (step(i, round) && round.rounds < max_rounds) {
+      ++round.rounds;
+      const telemetry::NodeLog log = sim::simulate_node(
+          campaign_.session, round.node, round.plan, round.events,
+          cluster::Topology::is_overheating_slot(round.node),
+          fleet.session_seed);
+      round.faults =
+          analysis::collapse_node_log(round.node, log, merge_window_s_);
+    }
+    round.plan = sched::ScanPlan{};
+    round.events = {};
+  });
+  return rounds;
+}
+
+void ClosedLoopDriver::run_parallel(
+    std::size_t count, const std::function<void(std::size_t)>& fn) {
+  if (pool_) {
+    pool_->parallel_for(count, fn);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+  }
+}
+
 ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   UNP_REQUIRE(config.threads >= 1);
   UNP_REQUIRE(config.controller.period_days >= 0);
-  const sim::CampaignConfig& cc = config.campaign;
-  const CampaignWindow& window = cc.window;
+  const CampaignWindow& window = config.campaign.window;
 
-  // Open-loop wiring, bit-for-bit the streaming campaign's (campaign.hpp).
-  const cluster::Topology topology = sim::campaign_topology(cc);
-  const cluster::AvailabilityModel availability(sim::campaign_availability(cc));
-  const sched::ScanPlanner planner(sim::campaign_planner_config(cc));
-  const auto& nodes = topology.monitored_nodes();
+  // Open pass and pathological filter, then the loudest surviving node,
+  // resolved exactly as the regime analyses resolve it.
+  ClosedLoopDriver driver(config.campaign, config.extraction, config.threads);
+  const auto& nodes = driver.nodes;
   const std::size_t n = nodes.size();
-
-  std::unique_ptr<ThreadPool> pool;
-  if (config.threads > 1) pool = std::make_unique<ThreadPool>(config.threads);
-  auto run_parallel = [&](std::size_t count, auto&& fn) {
-    if (pool) {
-      pool->parallel_for(count, fn);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) fn(i);
-    }
-  };
-
-  std::vector<sched::ScanPlan> plans(n);
-  run_parallel(n, [&](std::size_t i) {
-    plans[i] = planner.plan(nodes[i], availability.build(nodes[i]));
-  });
-
-  std::vector<faults::NodeContext> contexts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    contexts[i].node = nodes[i];
-    contexts[i].plan = &plans[i];
-    contexts[i].scanned_hours = plans[i].scanned_hours();
-    contexts[i].near_overheating_slot =
-        nodes[i].soc == cluster::kOverheatingSoc - 1 ||
-        nodes[i].soc == cluster::kOverheatingSoc + 1;
-  }
-  const faults::FaultModelSuite suite(cc.faults);
-  const std::vector<faults::FaultEvent> ground_truth =
-      suite.generate(contexts, sim::campaign_fault_seed(cc));
-  std::vector<std::vector<faults::FaultEvent>> per_node(
-      static_cast<std::size_t>(cluster::kStudyNodeSlots));
-  for (const auto& ev : ground_truth) {
-    per_node[static_cast<std::size_t>(cluster::node_index(ev.node))].push_back(ev);
-  }
-  const std::uint64_t session_seed = sim::campaign_session_seed(cc);
-
-  // Open-loop observation: what the unactuated campaign saw per node.
-  std::vector<std::vector<analysis::FaultRecord>> open_faults(n);
-  std::vector<std::uint64_t> raw(n, 0);
-  run_parallel(n, [&](std::size_t i) {
-    const cluster::NodeId node = nodes[i];
-    const telemetry::NodeLog log = sim::simulate_node(
-        cc.session, node, plans[i],
-        per_node[static_cast<std::size_t>(cluster::node_index(node))],
-        cluster::Topology::is_overheating_slot(node), session_seed);
-    raw[i] = raw_log_count(log);
-    open_faults[i] =
-        analysis::collapse_node_log(node, log, config.extraction.merge_window_s);
-    sort_canonical(open_faults[i]);
-  });
-
-  // Exclusions, resolved exactly as the extraction + regime analyses do:
-  // pathological filter on raw totals, then the loudest surviving node.
-  ClosedLoopResult result;
-  std::uint64_t raw_total = 0;
-  for (std::size_t i = 0; i < n; ++i) raw_total += raw[i];
-  std::vector<bool> excluded(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool pathological =
-        raw[i] >= config.extraction.pathological_min_raw &&
-        static_cast<double>(raw[i]) >
-            config.extraction.pathological_raw_fraction *
-                static_cast<double>(raw_total);
-    if (pathological) {
-      excluded[i] = true;
-      result.excluded_nodes.push_back(nodes[i]);
-    }
-  }
   std::size_t loudest = n;
   std::uint64_t loudest_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (excluded[i]) continue;
-    if (open_faults[i].size() > loudest_count) {
-      loudest_count = open_faults[i].size();
+    if (driver.excluded[i]) continue;
+    if (driver.open_faults[i].size() > loudest_count) {
+      loudest_count = driver.open_faults[i].size();
       loudest = i;
     }
   }
-  if (loudest < n && loudest_count > 0) {
-    excluded[loudest] = true;
-    result.excluded_nodes.push_back(nodes[loudest]);
-  }
+  if (loudest < n && loudest_count > 0) driver.exclude(loudest);
 
-  // Closed loop, node by node (timelines are independent, so this runs on
-  // any thread count with identical results).
+  // Closed loop over every node that observed a fault.
   std::vector<NodeOutcome> outcomes(n);
-  run_parallel(n, [&](std::size_t i) {
-    if (excluded[i] || open_faults[i].empty()) return;
-    const cluster::NodeId node = nodes[i];
-    outcomes[i] = run_node_loop(
-        config, window, node, plans[i],
-        per_node[static_cast<std::size_t>(cluster::node_index(node))],
-        session_seed);
-  });
+  const std::vector<NodeRound> converged = driver.converge(
+      [&](std::size_t i) { return !driver.open_faults[i].empty(); },
+      [&](std::size_t i, NodeRound& round) {
+        return quarantine_step(config, window, round, outcomes[i]);
+      },
+      std::numeric_limits<int>::max());
 
   // Fleet aggregation, in node order for determinism.
+  ClosedLoopResult result;
+  result.excluded_nodes = driver.excluded_nodes;
   const auto days =
       static_cast<std::size_t>(window.duration_days()) + 2;
   std::vector<std::uint64_t> errors_per_day(days, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    if (excluded[i]) continue;
-    result.open_loop_errors += open_faults[i].size();
+    if (driver.excluded[i]) continue;
+    const std::uint64_t open_faults = driver.open_faults[i].size();
+    result.open_loop_errors += open_faults;
     const NodeOutcome& out = outcomes[i];
-    result.closed_loop_errors += out.closed_faults;
+    const NodeRound& closed = converged[i];
+    result.closed_loop_errors += closed.faults.size();
     result.quarantine_entries += out.entries;
     result.pages_retired += out.pages_retired;
     result.quarantined_seconds += out.quarantined_seconds;
     result.scan_seconds_removed += out.scan_seconds_removed;
-    for (const std::int64_t day : out.fault_days) {
+    for (const auto& f : closed.faults) {
+      const std::int64_t day = window.day_of_campaign(f.first_seen);
       if (day < 0 || static_cast<std::size_t>(day) >= days) continue;
       ++errors_per_day[static_cast<std::size_t>(day)];
     }
     for (const auto& act : out.actuations) result.actuations.push_back(act);
-    if (!open_faults[i].empty() || !out.actuations.empty()) {
+    if (open_faults > 0 || !out.actuations.empty()) {
       result.per_node.push_back(ClosedLoopNodeReport{
-          nodes[i], open_faults[i].size(), out.closed_faults,
-          static_cast<int>(out.actuations.size()), out.rounds});
+          nodes[i], open_faults, closed.faults.size(),
+          static_cast<int>(out.actuations.size()), closed.rounds});
     }
   }
 

@@ -8,11 +8,10 @@
 // is then RE-SIMULATED under the actuated plan.  What the next detection
 // round sees is what a real deployment would have seen.
 //
-// Ground truth stays fixed: topology, availability, open-loop scan plans and
-// the fault events are exactly those of sim::run_campaign_streaming for the
-// same config (via the campaign_* wiring helpers), so open-loop observations
-// match the streaming campaign bit-for-bit and every closed-loop delta is
-// attributable to actuation alone.
+// The open pass, the pathological filter and the re-simulation rounds are
+// the ClosedLoopDriver's (below), which run_hammer_mitigation (hammer.hpp)
+// shares.  This loop adds the loudest-node exclusion of the regime
+// analyses and runs every node that observed a fault.
 //
 // Convergence: detection replays the threshold-quarantine controller over a
 // node's observed faults; each round applies at most one NEW actuation
@@ -24,13 +23,76 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "policy/builtin.hpp"
 #include "resilience/checkpoint.hpp"
 #include "sim/campaign.hpp"
 
 namespace unp::policy {
+
+/// One node's closed loop in progress: the actuated plan and fault events
+/// (the open-loop ones to begin with) and what the latest round observed.
+struct NodeRound {
+  cluster::NodeId node;
+  sched::ScanPlan plan;
+  std::vector<faults::FaultEvent> events;
+  /// Collapsed faults of the latest round, in (first_seen, address) order.
+  std::vector<analysis::FaultRecord> faults;
+  int rounds = 0;  ///< simulations so far; the open pass is round 1
+};
+
+/// The one closed-loop driver.  Construction is the open pass: the
+/// open-loop fleet of sim::build_open_loop_fleet (so open-loop observations
+/// are the streaming campaign's bit-for-bit), every monitored node
+/// simulated and collapsed once, and analysis::is_pathological_node applied
+/// to the raw totals.  converge() then hands each selected node to a
+/// controller step and re-simulates it under the actuated plan and events
+/// until the step applies nothing new.  Ground truth stays fixed, so every
+/// closed-loop delta is attributable to actuation alone; timelines are
+/// independent, so any thread count yields identical results.
+class ClosedLoopDriver {
+ public:
+  /// Inspects `round.faults`, applies any new actuation to `round.plan` /
+  /// `round.events` and returns true to re-simulate.  Called concurrently
+  /// for distinct monitored positions `i`.
+  using Step = std::function<bool(std::size_t i, NodeRound& round)>;
+
+  ClosedLoopDriver(const sim::CampaignConfig& campaign,
+                   const analysis::ExtractionConfig& extraction,
+                   std::size_t threads);
+
+  void exclude(std::size_t i);
+
+  /// Converge every non-excluded position `select` accepts, re-simulating
+  /// while `step` actuates and fewer than `max_rounds` simulations ran.
+  /// Returns one round per monitored position (rounds == 0 where none
+  /// ran), its plan and events released.
+  [[nodiscard]] std::vector<NodeRound> converge(
+      const std::function<bool(std::size_t i)>& select, const Step& step,
+      int max_rounds);
+
+ private:
+  void run_parallel(std::size_t count,
+                    const std::function<void(std::size_t)>& fn);
+
+  const sim::CampaignConfig& campaign_;
+  std::int64_t merge_window_s_;
+  std::unique_ptr<ThreadPool> pool_;  // declared before `fleet`, planned on it
+
+ public:
+  const sim::OpenLoopFleet fleet;
+  const std::vector<cluster::NodeId>& nodes;  ///< fleet's monitored nodes
+  /// Open-loop faults per monitored position (empty for pathological nodes,
+  /// which are never collapsed).
+  std::vector<std::vector<analysis::FaultRecord>> open_faults;
+  std::vector<bool> excluded;
+  /// Pathological nodes in node order, then those exclude() added.
+  std::vector<cluster::NodeId> excluded_nodes;
+};
 
 struct ClosedLoopConfig {
   sim::CampaignConfig campaign{};

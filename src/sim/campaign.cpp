@@ -68,6 +68,53 @@ std::uint64_t campaign_session_seed(const CampaignConfig& config) noexcept {
   return mix64(config.seed, 0x5E55);
 }
 
+OpenLoopFleet build_open_loop_fleet(const CampaignConfig& config,
+                                    ThreadPool* pool) {
+  OpenLoopFleet fleet{campaign_topology(config), {}, {}, {},
+                      campaign_session_seed(config)};
+  const cluster::AvailabilityModel availability(campaign_availability(config));
+  const sched::ScanPlanner planner(campaign_planner_config(config));
+  const auto& nodes = fleet.topology.monitored_nodes();
+  const std::size_t n = nodes.size();
+
+  // Phase 1: per-node scan plans (parallel, order-independent).
+  fleet.plans.resize(n);
+  auto build_plan = [&](std::size_t i) {
+    fleet.plans[i] = planner.plan(nodes[i], availability.build(nodes[i]));
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(n, build_plan);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) build_plan(i);
+  }
+
+  // Phase 2: fleet-wide fault generation (sequential; fleet-level streams).
+  std::vector<faults::NodeContext> contexts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    contexts[i].node = nodes[i];
+    contexts[i].plan = &fleet.plans[i];
+    contexts[i].scanned_hours = fleet.plans[i].scanned_hours();
+    contexts[i].near_overheating_slot =
+        nodes[i].soc == cluster::kOverheatingSoc - 1 ||
+        nodes[i].soc == cluster::kOverheatingSoc + 1;
+  }
+  const faults::FaultModelSuite suite(config.faults);
+  fleet.ground_truth = suite.generate(contexts, campaign_fault_seed(config));
+
+  // Partition events per node as index lists into the shared fleet vector —
+  // the events themselves (with their heap word lists) are never copied on
+  // the hot path; workers read them in place.
+  UNP_REQUIRE(fleet.ground_truth.size() <= 0xFFFFFFFFull);
+  fleet.events_by_slot.resize(
+      static_cast<std::size_t>(cluster::kStudyNodeSlots));
+  for (std::size_t e = 0; e < fleet.ground_truth.size(); ++e) {
+    fleet.events_by_slot[static_cast<std::size_t>(
+                             cluster::node_index(fleet.ground_truth[e].node))]
+        .push_back(static_cast<std::uint32_t>(e));
+  }
+  return fleet;
+}
+
 namespace {
 
 /// Per-slot scratch for phase 3: everything a worker touches while turning
@@ -93,57 +140,21 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   UNP_REQUIRE(spec.count >= 1);
   UNP_REQUIRE(spec.index >= 0 && spec.index < spec.count);
 
-  CampaignSummary summary{campaign_topology(config), {}, {}};
-
-  const cluster::AvailabilityModel availability(campaign_availability(config));
-  const sched::ScanPlanner planner(campaign_planner_config(config));
-
-  const auto& nodes = summary.topology.monitored_nodes();
-  const std::size_t n = nodes.size();
-
-  // Phase 1: per-node scan plans (parallel, order-independent).  Every shard
-  // builds the plans of the WHOLE fleet: the fleet-wide fault generation
-  // below consumes every node's plan and scanned hours, and re-deriving them
-  // is what keeps each shard's random streams bit-identical to the
-  // monolithic run's.  Planning is cheap next to session simulation, which
-  // is the phase sharding actually divides.
-  std::vector<sched::ScanPlan> plans(n);
-  auto build_plan = [&](std::size_t i) {
-    plans[i] = planner.plan(nodes[i], availability.build(nodes[i]));
-  };
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  if (pool) {
-    pool->parallel_for(n, build_plan);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) build_plan(i);
-  }
 
-  // Phase 2: fleet-wide fault generation (sequential; fleet-level streams),
-  // identical in every shard for the same campaign seed.
-  std::vector<faults::NodeContext> contexts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    contexts[i].node = nodes[i];
-    contexts[i].plan = &plans[i];
-    contexts[i].scanned_hours = plans[i].scanned_hours();
-    contexts[i].near_overheating_slot =
-        nodes[i].soc == cluster::kOverheatingSoc - 1 ||
-        nodes[i].soc == cluster::kOverheatingSoc + 1;
-  }
-  const faults::FaultModelSuite suite(config.faults);
-  std::vector<faults::FaultEvent> fleet_truth =
-      suite.generate(contexts, campaign_fault_seed(config));
-
-  // Partition events per node as index lists into the shared fleet vector —
-  // the events themselves (with their heap word lists) are never copied on
-  // the hot path; workers read them in place.
-  UNP_REQUIRE(fleet_truth.size() <= 0xFFFFFFFFull);
-  std::vector<std::vector<std::uint32_t>> per_node(
-      static_cast<std::size_t>(cluster::kStudyNodeSlots));
-  for (std::size_t e = 0; e < fleet_truth.size(); ++e) {
-    per_node[static_cast<std::size_t>(cluster::node_index(fleet_truth[e].node))]
-        .push_back(static_cast<std::uint32_t>(e));
-  }
+  // Phases 1-2 build the WHOLE fleet in every shard: the fleet-wide fault
+  // generation consumes every node's plan and scanned hours, and
+  // re-deriving them is what keeps each shard's random streams
+  // bit-identical to the monolithic run's.  Planning is cheap next to
+  // session simulation, which is the phase sharding actually divides.
+  OpenLoopFleet fleet = build_open_loop_fleet(config, pool.get());
+  const std::vector<faults::FaultEvent>& fleet_truth = fleet.ground_truth;
+  const auto& nodes = fleet.topology.monitored_nodes();
+  const auto& plans = fleet.plans;
+  const std::size_t n = nodes.size();
+  std::vector<faults::FaultEvent> shard_truth;
+  std::vector<NodeAccounting> accounting;
 
   // Ownership: monitored position j belongs to shard j % count (see
   // shard.hpp).  `owned` holds positions into `nodes`, still ascending.
@@ -163,16 +174,13 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   if (!spec.is_monolithic()) {
     std::vector<bool> owned_slot(
         static_cast<std::size_t>(cluster::kStudyNodeSlots), false);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j % static_cast<std::size_t>(spec.count) ==
-          static_cast<std::size_t>(spec.index)) {
-        owned_slot[static_cast<std::size_t>(cluster::node_index(nodes[j]))] =
-            true;
-      }
+    for (const std::size_t j : owned) {
+      owned_slot[static_cast<std::size_t>(cluster::node_index(nodes[j]))] =
+          true;
     }
     for (const auto& ev : fleet_truth) {
       if (owned_slot[static_cast<std::size_t>(cluster::node_index(ev.node))]) {
-        summary.ground_truth.push_back(ev);
+        shard_truth.push_back(ev);
       }
     }
   }
@@ -185,7 +193,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   // the ownership filter preserves that order).
   for (auto* sink : sinks) sink->begin_campaign(config.window);
 
-  const std::uint64_t session_seed = campaign_session_seed(config);
+  const std::uint64_t session_seed = fleet.session_seed;
   const std::size_t block = std::max<std::size_t>(threads * 8, 32);
   const telemetry::kernels::EncodeKernels& encode =
       emit.encode != nullptr ? *emit.encode
@@ -200,7 +208,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
 
   std::vector<NodeSlot> slots;
   if (emit.reuse_buffers) slots.resize(std::min(block, owned.size()));
-  summary.accounting.resize(owned.size());
+  accounting.resize(owned.size());
   for (std::size_t base = 0; base < owned.size(); base += block) {
     const std::size_t count = std::min(block, owned.size() - base);
     if (!emit.reuse_buffers) {
@@ -213,8 +221,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
       const cluster::NodeId node = nodes[j];
       const bool overheating = cluster::Topology::is_overheating_slot(node);
       NodeSlot& s = slots[i];
-      const auto& indices =
-          per_node[static_cast<std::size_t>(cluster::node_index(node))];
+      const auto& indices = fleet.events_of(node);
       if (emit.reuse_buffers) {
         // Zero-copy: simulate straight off the shared fleet-truth events.
         simulate_node_shared_into(config.session, node, plans[j], overheating,
@@ -265,15 +272,16 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
         }
       }
       if (!emit.reuse_buffers) s.log = telemetry::NodeLog{};
-      summary.accounting[base + i] = {node, plans[j].scanned_hours(),
-                                      plans[j].terabyte_hours(),
-                                      plans[j].sessions.size()};
+      accounting[base + i] = {node, plans[j].scanned_hours(),
+                              plans[j].terabyte_hours(),
+                              plans[j].sessions.size()};
     }
   }
 
   for (auto* sink : sinks) sink->end_campaign();
-  if (spec.is_monolithic()) summary.ground_truth = std::move(fleet_truth);
-  return summary;
+  if (spec.is_monolithic()) shard_truth = std::move(fleet.ground_truth);
+  return CampaignSummary{std::move(fleet.topology), std::move(shard_truth),
+                         std::move(accounting)};
 }
 
 CampaignSummary run_campaign_streaming(

@@ -21,6 +21,10 @@
 #include "telemetry/archive.hpp"
 #include "telemetry/sink.hpp"
 
+namespace unp {
+class ThreadPool;
+}
+
 namespace unp::sim {
 
 struct CampaignConfig {
@@ -81,10 +85,9 @@ struct CampaignResult {
 /// the simulation).
 [[nodiscard]] cluster::Topology campaign_topology(const CampaignConfig& config);
 
-// The exact component wiring run_campaign_streaming uses, exposed so
-// out-of-band drivers (the closed-loop policy runner in src/policy, which
-// must re-simulate individual node timelines under actuated scan plans) can
-// reproduce the open-loop campaign bit-for-bit before layering their cuts.
+// The component wiring build_open_loop_fleet uses, one helper per derived
+// config or sub-seed.  Probes that time the campaign's phases one by one
+// call them directly; everything else goes through build_open_loop_fleet.
 
 /// Availability config with window + special administrative outages wired.
 [[nodiscard]] cluster::AvailabilityModel::Config campaign_availability(
@@ -101,6 +104,34 @@ struct CampaignResult {
 /// Sub-seed feeding per-node session simulation (simulate_node).
 [[nodiscard]] std::uint64_t campaign_session_seed(
     const CampaignConfig& config) noexcept;
+
+/// The open-loop fleet: everything the campaign derives before session
+/// simulation.  run_campaign_shard builds it as its phases 1-2, and the
+/// closed loops in src/policy build the same fleet, so their open-loop
+/// observations are the streaming campaign's bit-for-bit.
+struct OpenLoopFleet {
+  cluster::Topology topology;
+  /// One scan plan per monitored node, in topology.monitored_nodes() order.
+  std::vector<sched::ScanPlan> plans;
+  /// Ground-truth fault events of the whole fleet (sorted).
+  std::vector<faults::FaultEvent> ground_truth;
+  /// Per node slot (cluster::node_index), the ascending positions of that
+  /// node's events in `ground_truth`: consumers read the events in place.
+  std::vector<std::vector<std::uint32_t>> events_by_slot;
+  /// Sub-seed feeding per-node session simulation (simulate_node).
+  std::uint64_t session_seed = 0;
+
+  [[nodiscard]] const std::vector<std::uint32_t>& events_of(
+      cluster::NodeId node) const {
+    return events_by_slot[static_cast<std::size_t>(cluster::node_index(node))];
+  }
+};
+
+/// Build the open-loop fleet of `config`: topology, per-node scan plans (on
+/// `pool`; nullptr plans serially), fleet-wide fault generation and the
+/// per-slot event index.  Identical for any pool size.
+[[nodiscard]] OpenLoopFleet build_open_loop_fleet(const CampaignConfig& config,
+                                                  ThreadPool* pool);
 
 /// Hot-path knobs for the record-emission machinery.  The defaults are the
 /// optimized path; the legacy flags reproduce the pre-arena allocation

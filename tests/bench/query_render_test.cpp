@@ -93,6 +93,32 @@ TEST(QueryRenderParseTest, SectionFlagsSelectRenderers) {
       std::all_of(all.want, all.want + kSectionCount, [](bool b) { return b; }));
 }
 
+TEST(QueryRenderParseTest, EveryRegisteredExtSectionParses) {
+  const QueryRequest hammer = parse_request({"--ext", "hammer"});
+  EXPECT_TRUE(hammer.any_section);
+  EXPECT_TRUE(hammer.want[kExtHammer]);
+  for (const ExtSection& ext : ext_sections()) {
+    const QueryRequest req = parse_request({"--ext", ext.name});
+    EXPECT_TRUE(req.want[ext.section]) << ext.name;
+    EXPECT_EQ(std::count(req.want, req.want + kSectionCount, true), 1)
+        << ext.name;
+  }
+}
+
+TEST(QueryRenderParseTest, UnknownExtErrorListsEveryRegisteredName) {
+  try {
+    (void)parse_request({"--ext", "nope"});
+    FAIL();
+  } catch (const QueryError& e) {
+    EXPECT_EQ(e.field(), "ext");
+    const std::string message = e.what();
+    for (const ExtSection& ext : ext_sections()) {
+      EXPECT_NE(message.find(ext.name), std::string::npos) << ext.name;
+    }
+    EXPECT_NE(message.find("'nope'"), std::string::npos);
+  }
+}
+
 TEST(QueryRenderParseTest, InvalidRequestsThrowBeforeAnyQueryExists) {
   EXPECT_THROW((void)parse_request({"--bogus"}), QueryError);
   EXPECT_THROW((void)parse_request({"--blade"}), QueryError);          // no value

@@ -89,5 +89,104 @@ TEST(ClosedLoop, PageRetirementRemovesRepeatOffenders) {
   EXPECT_LE(result.closed_loop_errors, result.open_loop_errors);
 }
 
+
+// Exact values of both configurations, pinned so any refactor of the loop
+// (its open pass, exclusions or re-simulation rounds) must reproduce them
+// bit-for-bit, as PaperQuarantine.TableII pins Table II.
+struct PinnedNode {
+  cluster::NodeId node;
+  std::uint64_t open_faults;
+  std::uint64_t closed_faults;
+  int actuations;
+  int rounds;
+};
+
+void expect_per_node(const ClosedLoopResult& result,
+                     const std::vector<PinnedNode>& pinned) {
+  ASSERT_EQ(result.per_node.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const ClosedLoopNodeReport& got = result.per_node[i];
+    EXPECT_EQ(got.node, pinned[i].node) << i;
+    EXPECT_EQ(got.open_faults, pinned[i].open_faults) << i;
+    EXPECT_EQ(got.closed_faults, pinned[i].closed_faults) << i;
+    EXPECT_EQ(got.actuations, pinned[i].actuations) << i;
+    EXPECT_EQ(got.rounds, pinned[i].rounds) << i;
+  }
+}
+
+TEST(ClosedLoop, ShortWindowQuarantinePinned) {
+  const ClosedLoopResult r = run_closed_loop(short_config(2));
+  EXPECT_EQ(r.open_loop_errors, 1328u);
+  EXPECT_EQ(r.closed_loop_errors, 81u);
+  EXPECT_EQ(r.quarantine_entries, 45u);
+  EXPECT_EQ(r.pages_retired, 0u);
+  EXPECT_EQ(r.quarantined_seconds, 36618058);
+  EXPECT_EQ(r.scan_seconds_removed, 19756130);
+  EXPECT_DOUBLE_EQ(r.open_mtbf_hours, 1.1024096385542168);
+  EXPECT_DOUBLE_EQ(r.closed_mtbf_hours, 18.074074074074073);
+  EXPECT_DOUBLE_EQ(r.node_days_quarantined, 423.82011574074073);
+  EXPECT_DOUBLE_EQ(r.availability_loss, 0.0073522441797335544);
+  EXPECT_DOUBLE_EQ(r.causal_static_waste, 0.13363127426147026);
+  EXPECT_DOUBLE_EQ(r.causal_adaptive_waste, 0.32186162853005879);
+  EXPECT_EQ(r.excluded_nodes, (std::vector<cluster::NodeId>{{2, 4}}));
+  EXPECT_EQ(r.actuations.size(), 45u);
+  expect_per_node(r, {
+      {{0, 5}, 2, 2, 1, 2}, {{1, 11}, 3, 3, 1, 2}, {{2, 6}, 2, 2, 1, 2},
+      {{2, 13}, 4, 4, 1, 2}, {{3, 4}, 2, 2, 1, 2}, {{4, 5}, 792, 4, 4, 5},
+      {{5, 11}, 2, 2, 1, 2}, {{6, 11}, 1, 1, 1, 2}, {{9, 8}, 2, 2, 1, 2},
+      {{14, 1}, 1, 1, 1, 2}, {{16, 5}, 2, 2, 1, 2}, {{18, 8}, 1, 1, 1, 2},
+      {{21, 5}, 2, 2, 1, 2}, {{22, 13}, 1, 1, 1, 2}, {{24, 1}, 1, 1, 1, 2},
+      {{24, 14}, 1, 1, 1, 2}, {{26, 3}, 1, 1, 1, 2}, {{27, 6}, 1, 1, 1, 2},
+      {{29, 7}, 1, 1, 1, 2}, {{34, 3}, 1, 1, 1, 2}, {{35, 13}, 1, 1, 1, 2},
+      {{35, 14}, 4, 4, 1, 2}, {{36, 8}, 4, 4, 1, 2}, {{36, 12}, 2, 2, 1, 2},
+      {{37, 8}, 5, 5, 1, 2}, {{39, 0}, 1, 1, 1, 2}, {{39, 14}, 2, 2, 1, 2},
+      {{41, 11}, 4, 4, 1, 2}, {{43, 0}, 1, 1, 1, 2}, {{48, 11}, 3, 3, 1, 2},
+      {{50, 1}, 1, 1, 1, 2}, {{52, 6}, 1, 1, 1, 2}, {{53, 10}, 1, 1, 1, 2},
+      {{53, 14}, 2, 2, 1, 2}, {{58, 2}, 462, 3, 3, 4}, {{58, 5}, 3, 3, 1, 2},
+      {{59, 11}, 1, 1, 1, 2}, {{59, 13}, 2, 2, 1, 2}, {{60, 9}, 4, 4, 1, 2},
+      {{62, 10}, 1, 1, 1, 2}
+  });
+}
+
+TEST(ClosedLoop, ShortWindowPageRetirementPinned) {
+  ClosedLoopConfig config = short_config(2);
+  config.controller.period_days = 0;
+  config.controller.retire_page_repeats = 2;
+  const ClosedLoopResult r = run_closed_loop(config);
+  // Both retirements leave the observed count unchanged: the actuator maps
+  // a word to its page as word_index >> 9 (8-byte words), while scan words
+  // are 4 bytes (a fault's virtual_address is word_index * 4).
+  EXPECT_EQ(r.open_loop_errors, 1328u);
+  EXPECT_EQ(r.closed_loop_errors, 1328u);
+  EXPECT_EQ(r.quarantine_entries, 0u);
+  EXPECT_EQ(r.pages_retired, 2u);
+  EXPECT_EQ(r.quarantined_seconds, 0);
+  EXPECT_EQ(r.scan_seconds_removed, 0);
+  EXPECT_DOUBLE_EQ(r.open_mtbf_hours, 1.1024096385542168);
+  EXPECT_DOUBLE_EQ(r.closed_mtbf_hours, 1.1024096385542168);
+  EXPECT_DOUBLE_EQ(r.node_days_quarantined, 0.0);
+  EXPECT_DOUBLE_EQ(r.availability_loss, 0.0);
+  EXPECT_DOUBLE_EQ(r.causal_static_waste, 0.48458784290267326);
+  EXPECT_DOUBLE_EQ(r.causal_adaptive_waste, 0.57271169336371541);
+  EXPECT_EQ(r.excluded_nodes, (std::vector<cluster::NodeId>{{2, 4}}));
+  EXPECT_EQ(r.actuations.size(), 2u);
+  expect_per_node(r, {
+      {{0, 5}, 2, 2, 0, 1}, {{1, 11}, 3, 3, 0, 1}, {{2, 6}, 2, 2, 0, 1},
+      {{2, 13}, 4, 4, 0, 1}, {{3, 4}, 2, 2, 0, 1}, {{4, 5}, 792, 792, 1, 2},
+      {{5, 11}, 2, 2, 0, 1}, {{6, 11}, 1, 1, 0, 1}, {{9, 8}, 2, 2, 0, 1},
+      {{14, 1}, 1, 1, 0, 1}, {{16, 5}, 2, 2, 0, 1}, {{18, 8}, 1, 1, 0, 1},
+      {{21, 5}, 2, 2, 0, 1}, {{22, 13}, 1, 1, 0, 1}, {{24, 1}, 1, 1, 0, 1},
+      {{24, 14}, 1, 1, 0, 1}, {{26, 3}, 1, 1, 0, 1}, {{27, 6}, 1, 1, 0, 1},
+      {{29, 7}, 1, 1, 0, 1}, {{34, 3}, 1, 1, 0, 1}, {{35, 13}, 1, 1, 0, 1},
+      {{35, 14}, 4, 4, 0, 1}, {{36, 8}, 4, 4, 0, 1}, {{36, 12}, 2, 2, 0, 1},
+      {{37, 8}, 5, 5, 0, 1}, {{39, 0}, 1, 1, 0, 1}, {{39, 14}, 2, 2, 0, 1},
+      {{41, 11}, 4, 4, 0, 1}, {{43, 0}, 1, 1, 0, 1}, {{48, 11}, 3, 3, 0, 1},
+      {{50, 1}, 1, 1, 0, 1}, {{52, 6}, 1, 1, 0, 1}, {{53, 10}, 1, 1, 0, 1},
+      {{53, 14}, 2, 2, 0, 1}, {{58, 2}, 462, 462, 1, 2}, {{58, 5}, 3, 3, 0, 1},
+      {{59, 11}, 1, 1, 0, 1}, {{59, 13}, 2, 2, 0, 1}, {{60, 9}, 4, 4, 0, 1},
+      {{62, 10}, 1, 1, 0, 1}
+  });
+}
+
 }  // namespace
 }  // namespace unp::policy

@@ -74,6 +74,48 @@ TEST(HammerMitigation, RetiresTrueVictimRowsWithBoundedFalseRetirement) {
   EXPECT_EQ(trues, result.retired_true);
 }
 
+// Exact values of the seed-17 campaign, pinned so any refactor of the loop
+// (its open pass, exclusions or re-simulation rounds) must reproduce them
+// bit-for-bit.
+TEST(HammerMitigation, Seed17CampaignPinned) {
+  HammerLoopConfig config;
+  config.campaign = hammer_campaign();
+  config.threads = 3;
+  const HammerMitigationResult r = run_hammer_mitigation(config);
+  EXPECT_TRUE(r.excluded_nodes.empty());
+  EXPECT_EQ(r.true_victim_rows, 481u);
+  EXPECT_EQ(r.rows_retired, 521u);
+  EXPECT_EQ(r.retired_true, 471u);
+  EXPECT_EQ(r.retired_collateral, 50u);
+  EXPECT_EQ(r.retired_spurious, 0u);
+  EXPECT_EQ(r.open_observed, 8529u);
+  EXPECT_EQ(r.closed_observed, 3502u);
+  EXPECT_EQ(r.absorbed_faults, 5027u);
+  EXPECT_EQ(r.max_rounds_used, 2);
+
+  struct PinnedRow {
+    cluster::NodeId node;
+    std::uint32_t bank;
+    std::uint64_t row;
+    TimePoint trigger_time;
+  };
+  const PinnedRow first[] = {
+      {{0, 5}, 13, 9398, 1441882169}, {{0, 5}, 13, 9400, 1441882169},
+      {{0, 5}, 13, 9406, 1441883669}, {{0, 5}, 13, 9402, 1441883969},
+      {{0, 5}, 13, 9404, 1441885469}, {{0, 5}, 13, 9396, 1441902188},
+      {{0, 5}, 13, 9408, 1441909424}, {{0, 5}, 13, 9395, 1441943720},
+      {{0, 5}, 13, 9409, 1441957220}, {{1, 11}, 10, 29362, 1441118618},
+  };
+  ASSERT_GE(r.retired.size(), std::size(first));
+  for (std::size_t i = 0; i < std::size(first); ++i) {
+    EXPECT_EQ(r.retired[i].node, first[i].node) << i;
+    EXPECT_EQ(r.retired[i].bank, first[i].bank) << i;
+    EXPECT_EQ(r.retired[i].row, first[i].row) << i;
+    EXPECT_EQ(r.retired[i].trigger_time, first[i].trigger_time) << i;
+    EXPECT_EQ(r.retired[i].kind, RetiredRow::Kind::kTrue) << i;
+  }
+}
+
 TEST(HammerMitigation, DeterministicAcrossThreadCounts) {
   HammerLoopConfig config;
   config.campaign = hammer_campaign();
