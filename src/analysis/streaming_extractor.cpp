@@ -4,12 +4,14 @@
 
 #include "common/require.hpp"
 #include "telemetry/archive.hpp"
+#include "telemetry/binary_codec.hpp"
 
 namespace unp::analysis {
 
 StreamingExtractor::StreamingExtractor(ExtractionConfig config)
     : config_(config),
       pending_(static_cast<std::size_t>(cluster::kStudyNodeSlots)),
+      deferred_(static_cast<std::size_t>(cluster::kStudyNodeSlots)),
       collapsed_(static_cast<std::size_t>(cluster::kStudyNodeSlots)),
       raw_per_node_(static_cast<std::size_t>(cluster::kStudyNodeSlots), 0) {}
 
@@ -17,6 +19,7 @@ void StreamingExtractor::begin_campaign(const CampaignWindow&) {
   // Reset so a partially-fed extractor (torn cache replay that fell back to
   // a fresh simulation pass) starts clean when the stream re-opens.
   pending_.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots), {});
+  deferred_.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots), {});
   collapsed_.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots), {});
   raw_per_node_.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots), 0);
   raw_total_ = 0;
@@ -54,11 +57,19 @@ void StreamingExtractor::on_node_log(telemetry::EncodedNodeLog& enc) {
   raw_total_ += raw;
   if (log.error_runs().empty()) return;
 
-  // end_node collapses (or defers) whatever is pending; the producer's log
-  // need not outlive this call, so those cases take one bulk copy.  Only a
-  // node with no buffered runs, no observer and no deferral collapses here,
-  // straight from the producer's log.
-  if (observer_ || defers(index) || !pending_[index].error_runs().empty()) {
+  // The producer's log need not outlive this call.  A deferred node keeps
+  // its encoded body, a third of its runs' size, unless runs of it are
+  // buffered already; end_node collapses (or defers) whatever is pending,
+  // so those cases take one bulk copy of the runs.  Only a node with no
+  // buffered runs, no observer and no deferral collapses here, straight
+  // from the producer's log.
+  const bool buffered = !pending_[index].error_runs().empty() ||
+                        !deferred_[index].bytes.empty();
+  if (defers(index) && !buffered) {
+    deferred_[index] = {enc.bytes(), log.error_runs().size()};
+    return;
+  }
+  if (observer_ || defers(index) || buffered) {
     pending_[index].add_error_runs(log.error_runs());
     return;
   }
@@ -72,11 +83,23 @@ bool StreamingExtractor::defers(std::size_t index) const noexcept {
 std::size_t StreamingExtractor::pending_runs() const noexcept {
   std::size_t runs = 0;
   for (const auto& log : pending_) runs += log.error_runs().size();
+  for (const auto& body : deferred_) runs += body.runs;
   return runs;
 }
 
 void StreamingExtractor::collapse_pending(std::size_t index) {
   telemetry::NodeLog& log = pending_[index];
+  DeferredBody& body = deferred_[index];
+  if (!body.bytes.empty()) {
+    const cluster::NodeId node =
+        cluster::node_from_index(static_cast<int>(index));
+    std::size_t pos = 0;
+    telemetry::NodeLog decoded =
+        telemetry::decode_node_log(body.bytes, pos, node);
+    decoded.add_error_runs(log.error_runs());
+    log = std::move(decoded);
+    body = DeferredBody{};
+  }
   if (log.error_runs().empty()) return;
   collapse_into(index, log);
   log = telemetry::NodeLog{};  // free the raw runs mid-stream
@@ -116,6 +139,7 @@ ExtractionResult StreamingExtractor::finish() {
           cluster::node_from_index(static_cast<int>(i)));
       result.removed_raw_logs += raw;
       pending_[i] = telemetry::NodeLog{};  // dropped uncollapsed
+      deferred_[i] = DeferredBody{};        // and undecoded
       continue;
     }
     collapse_pending(i);

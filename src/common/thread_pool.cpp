@@ -62,15 +62,24 @@ void ThreadPool::parallel_for(std::size_t n,
   if (n == 0) return;
   std::atomic<std::size_t> next{0};
   const std::size_t lanes = std::min(n, thread_count());
+  // Wait for this call's lanes only, not for the whole pool: tasks submitted
+  // beside it (the campaign's heavy nodes) keep running past the return.
+  std::size_t lanes_left = lanes;  // guarded by mutex_
+  std::condition_variable lanes_done;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    submit([&next, n, &fn] {
+    submit([this, &next, n, &fn, &lanes_left, &lanes_done] {
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
            i = next.fetch_add(1, std::memory_order_relaxed)) {
         fn(i);
       }
+      // Notify under the lock: the waiter's stack frame (and `lanes_done`)
+      // may vanish as soon as it observes zero.
+      std::lock_guard lock(mutex_);
+      if (--lanes_left == 0) lanes_done.notify_all();
     });
   }
-  wait_idle();
+  std::unique_lock lock(mutex_);
+  lanes_done.wait(lock, [&lanes_left] { return lanes_left == 0; });
 }
 
 }  // namespace unp

@@ -34,8 +34,9 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// `fn` must be safe to invoke concurrently for distinct indices.
+  /// Run fn(i) for i in [0, n) across the pool and wait for completion of
+  /// those calls only (other submitted tasks may still be running).  `fn`
+  /// must be safe to invoke concurrently for distinct indices.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

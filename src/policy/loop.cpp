@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "common/bitops.hpp"
 #include "common/require.hpp"
 #include "sim/session_sim.hpp"
 
@@ -12,9 +13,10 @@ namespace unp::policy {
 
 namespace {
 
-/// Page (4 KiB) of a scan-space word: virtual address is word_index * 8.
+/// Page (4 KiB) of a scan-space word: its virtual address is
+/// word_index * sizeof(Word), as the session simulator logs it.
 std::uint64_t page_of_word(std::uint64_t word_index) noexcept {
-  return word_index >> 9;
+  return (word_index * sizeof(Word)) >> 12;
 }
 
 /// Everything one node's closed loop produced.
@@ -113,11 +115,24 @@ ClosedLoopDriver::ClosedLoopDriver(const sim::CampaignConfig& campaign,
       excluded(nodes.size(), false) {
   // A node at or over pathological_min_raw, the only kind the filter can
   // drop, keeps its log uncollapsed until the fleet total is known, so the
-  // node the filter drops is never collapsed.
+  // node the filter drops is never collapsed.  Nodes are visited heaviest
+  // first (sim::node_cost_estimate), so the long pole starts at once
+  // instead of when its index comes up; results are stored by index.
   const std::size_t n = nodes.size();
+  std::vector<std::uint64_t> cost(n);
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cost[i] = sim::node_cost_estimate(fleet, i);
+    order[i] = i;
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
   std::vector<std::uint64_t> raw(n, 0);
   std::vector<telemetry::NodeLog> deferred(n);
-  run_parallel(n, [&](std::size_t i) {
+  run_parallel(n, [&](std::size_t visit) {
+    const std::size_t i = order[visit];
     sim::SessionSimArena arena;
     telemetry::NodeLog log;
     sim::simulate_node_shared_into(

@@ -1,7 +1,9 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "common/require.hpp"
@@ -115,6 +117,17 @@ OpenLoopFleet build_open_loop_fleet(const CampaignConfig& config,
   return fleet;
 }
 
+std::uint64_t node_cost_estimate(const OpenLoopFleet& fleet, std::size_t j) {
+  const cluster::NodeId node = fleet.topology.monitored_nodes()[j];
+  std::uint64_t stuck_words = 0;
+  for (const std::uint32_t e : fleet.events_of(node)) {
+    const faults::FaultEvent& ev = fleet.ground_truth[e];
+    if (ev.persistence == faults::Persistence::kStuck)
+      stuck_words += ev.words.size();
+  }
+  return stuck_words * fleet.plans[j].sessions.size();
+}
+
 namespace {
 
 /// Per-slot scratch for phase 3: everything a worker touches while turning
@@ -127,6 +140,37 @@ struct NodeSlot {
   std::string encoded;         ///< pre-encoded UNPA body (bulk path)
   telemetry::EncodeArena enc;  ///< gather scratch for the batch kernels
   bool pre_encoded = false;
+};
+
+/// A node simulated as its own pool task (heavy-first, see phase 3).
+struct HeavyNode {
+  std::size_t k = 0;  ///< index into the run's owned positions
+  NodeSlot slot;
+  bool done = false;  ///< guarded by HeavyNodes::mutex
+};
+
+/// The heavy nodes of one run and their completion signal.  The destructor
+/// waits for every submitted task, so the fleet and slots the tasks touch
+/// outlive them, also when a sink throws mid-stream.
+struct HeavyNodes {
+  std::vector<HeavyNode> nodes;
+  std::size_t submitted = 0;
+  std::mutex mutex;
+  std::condition_variable cv;
+
+  void finish(HeavyNode& node) {
+    // Notify under the lock: the waiter may destroy `cv` once it sees done.
+    std::lock_guard lock(mutex);
+    node.done = true;
+    cv.notify_all();
+  }
+  void wait(const HeavyNode& node) {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&node] { return node.done; });
+  }
+  ~HeavyNodes() {
+    for (std::size_t h = 0; h < submitted; ++h) wait(nodes[h]);
+  }
 };
 
 }  // namespace
@@ -188,9 +232,10 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   // Phase 3: per-node session simulation of the owned nodes, streamed out
   // block by block.  Workers fill a block of node logs in parallel; the
   // block is then emitted to every sink in ascending node order and freed,
-  // so at most one block of logs is resident at a time and the stream is
-  // identical for any thread count (monitored_nodes() is index-sorted and
-  // the ownership filter preserves that order).
+  // so at most one block of logs (plus the heavy nodes', below) is resident
+  // at a time and the stream is identical for any thread count
+  // (monitored_nodes() is index-sorted and the ownership filter preserves
+  // that order).
   for (auto* sink : sinks) sink->begin_campaign(config.window);
 
   const std::uint64_t session_seed = fleet.session_seed;
@@ -206,9 +251,99 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
       wants_encoded = wants_encoded || sink->wants_encoded_node_log();
   }
 
+  // Owned index k (into `owned`) -> its node's log in `s`, pre-encoded
+  // when some sink wants bytes.
+  auto simulate = [&](std::size_t k, NodeSlot& s) {
+    const std::size_t j = owned[k];
+    const cluster::NodeId node = nodes[j];
+    const bool overheating = cluster::Topology::is_overheating_slot(node);
+    const auto& indices = fleet.events_of(node);
+    if (emit.reuse_buffers) {
+      // Zero-copy: simulate straight off the shared fleet-truth events.
+      simulate_node_shared_into(config.session, node, plans[j], overheating,
+                                session_seed, fleet_truth, indices, s.sim,
+                                s.log);
+    } else {
+      // Legacy churn baseline: deep-copy this node's events (heap word
+      // lists included) before simulating, as the pre-arena code did.
+      s.sim.events.clear();
+      s.sim.events.reserve(indices.size());
+      for (const std::uint32_t e : indices)
+        s.sim.events.push_back(fleet_truth[e]);
+      simulate_node_into(config.session, node, plans[j], overheating,
+                         session_seed, s.sim, s.log);
+    }
+    s.pre_encoded = false;
+    if (wants_encoded) {
+      s.encoded.clear();
+      telemetry::encode_node_log_into(s.log, s.encoded, encode, &s.enc);
+      s.pre_encoded = true;
+    }
+  };
+  auto emit_node = [&](std::size_t k, NodeSlot& s) {
+    const std::size_t j = owned[k];
+    const cluster::NodeId node = nodes[j];
+    if (emit.bulk_node_logs) {
+      // One EncodedNodeLog shared across sinks: the body is encoded at
+      // most once per node (already done in the worker if any sink wants
+      // bytes) and spliced — never re-encoded, never re-copied per sink.
+      telemetry::EncodedNodeLog enc_log(node, s.log, s.encoded, encode,
+                                        &s.enc, s.pre_encoded);
+      for (auto* sink : sinks) {
+        sink->begin_node(node);
+        sink->on_node_log(enc_log);
+        sink->end_node(node);
+      }
+    } else {
+      for (auto* sink : sinks) {
+        sink->begin_node(node);
+        telemetry::replay_node_log(s.log, *sink);
+        sink->end_node(node);
+      }
+    }
+    if (!emit.reuse_buffers) s.log = telemetry::NodeLog{};
+    accounting[k] = {node, plans[j].scanned_hours(), plans[j].terabyte_hours(),
+                     plans[j].sessions.size()};
+  };
+
+  // Heavy-first: a node costing more than an even share of the run would
+  // hold its block's fork-join, and the serial consumer behind it, for its
+  // whole simulation.  Up to threads - 1 such nodes, heaviest first, start
+  // as their own pool tasks now (at least one worker stays on the blocks).
+  accounting.resize(owned.size());
+  HeavyNodes heavy;
+  std::vector<HeavyNode*> heavy_of(owned.size(), nullptr);
+  if (pool) {
+    std::vector<std::uint64_t> cost(owned.size());
+    std::uint64_t total_cost = 0;
+    for (std::size_t k = 0; k < owned.size(); ++k) {
+      cost[k] = node_cost_estimate(fleet, owned[k]);
+      total_cost += cost[k];
+    }
+    std::vector<std::size_t> picked;
+    for (std::size_t k = 0; k < owned.size(); ++k) {
+      if (cost[k] * threads > total_cost) picked.push_back(k);
+    }
+    std::stable_sort(picked.begin(), picked.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return cost[a] > cost[b];
+                     });
+    picked.resize(std::min(picked.size(), threads - 1));
+    heavy.nodes.resize(picked.size());
+    for (std::size_t h = 0; h < picked.size(); ++h) {
+      HeavyNode& node = heavy.nodes[h];
+      node.k = picked[h];
+      heavy_of[node.k] = &node;
+      pool->submit([&simulate, &heavy, &node] {
+        simulate(node.k, node.slot);
+        heavy.finish(node);
+      });
+      ++heavy.submitted;
+    }
+  }
+
   std::vector<NodeSlot> slots;
   if (emit.reuse_buffers) slots.resize(std::min(block, owned.size()));
-  accounting.resize(owned.size());
   for (std::size_t base = 0; base < owned.size(); base += block) {
     const std::size_t count = std::min(block, owned.size() - base);
     if (!emit.reuse_buffers) {
@@ -216,65 +351,23 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
       slots.clear();
       slots.resize(count);
     }
-    auto simulate = [&](std::size_t i) {
-      const std::size_t j = owned[base + i];
-      const cluster::NodeId node = nodes[j];
-      const bool overheating = cluster::Topology::is_overheating_slot(node);
-      NodeSlot& s = slots[i];
-      const auto& indices = fleet.events_of(node);
-      if (emit.reuse_buffers) {
-        // Zero-copy: simulate straight off the shared fleet-truth events.
-        simulate_node_shared_into(config.session, node, plans[j], overheating,
-                                  session_seed, fleet_truth, indices, s.sim,
-                                  s.log);
-      } else {
-        // Legacy churn baseline: deep-copy this node's events (heap word
-        // lists included) before simulating, as the pre-arena code did.
-        s.sim.events.clear();
-        s.sim.events.reserve(indices.size());
-        for (const std::uint32_t e : indices)
-          s.sim.events.push_back(fleet_truth[e]);
-        simulate_node_into(config.session, node, plans[j], overheating,
-                           session_seed, s.sim, s.log);
-      }
-      s.pre_encoded = false;
-      if (wants_encoded) {
-        s.encoded.clear();
-        telemetry::encode_node_log_into(s.log, s.encoded, encode, &s.enc);
-        s.pre_encoded = true;
-      }
+    auto simulate_light = [&](std::size_t i) {
+      if (heavy_of[base + i] == nullptr) simulate(base + i, slots[i]);
     };
     if (pool) {
-      pool->parallel_for(count, simulate);
+      pool->parallel_for(count, simulate_light);
     } else {
-      for (std::size_t i = 0; i < count; ++i) simulate(i);
+      for (std::size_t i = 0; i < count; ++i) simulate_light(i);
     }
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t j = owned[base + i];
-      const cluster::NodeId node = nodes[j];
-      NodeSlot& s = slots[i];
-      if (emit.bulk_node_logs) {
-        // One EncodedNodeLog shared across sinks: the body is encoded at
-        // most once per node (already done in the worker if any sink wants
-        // bytes) and spliced — never re-encoded, never re-copied per sink.
-        telemetry::EncodedNodeLog enc_log(node, s.log, s.encoded, encode,
-                                          &s.enc, s.pre_encoded);
-        for (auto* sink : sinks) {
-          sink->begin_node(node);
-          sink->on_node_log(enc_log);
-          sink->end_node(node);
-        }
-      } else {
-        for (auto* sink : sinks) {
-          sink->begin_node(node);
-          telemetry::replay_node_log(s.log, *sink);
-          sink->end_node(node);
-        }
+      HeavyNode* h = heavy_of[base + i];
+      if (h == nullptr) {
+        emit_node(base + i, slots[i]);
+        continue;
       }
-      if (!emit.reuse_buffers) s.log = telemetry::NodeLog{};
-      accounting[base + i] = {node, plans[j].scanned_hours(),
-                              plans[j].terabyte_hours(),
-                              plans[j].sessions.size()};
+      heavy.wait(*h);
+      emit_node(base + i, h->slot);
+      h->slot = NodeSlot{};  // free the heavy node's buffers right away
     }
   }
 

@@ -133,6 +133,16 @@ struct OpenLoopFleet {
 [[nodiscard]] OpenLoopFleet build_open_loop_fleet(const CampaignConfig& config,
                                                   ThreadPool* pool);
 
+/// Estimated session-simulation cost of monitored position `j` of `fleet`:
+/// the word count of the node's stuck events times the number of sessions
+/// in its plan.  A stuck word is re-logged on every pass of every session,
+/// so this tracks the node's error runs (371,800 for the seed-42
+/// pathological node, 0 for every other node); transient events cost
+/// little however many there are, so an events x sessions estimate would
+/// rank a node with many transients above the pathological one.
+[[nodiscard]] std::uint64_t node_cost_estimate(const OpenLoopFleet& fleet,
+                                               std::size_t j);
+
 /// Hot-path knobs for the record-emission machinery.  The defaults are the
 /// optimized path; the legacy flags reproduce the pre-arena allocation
 /// behavior so the campaign throughput bench can measure both in one binary.
@@ -153,10 +163,22 @@ struct CampaignEmitOptions {
 
 /// Stream the campaign through `sinks`.  Per-node records are pushed with
 /// full framing (begin_campaign .. end_campaign, nodes ascending by index)
-/// as soon as each node block completes; only a bounded block of node logs
-/// is ever resident.  `threads` > 1 parallelizes planning and session
-/// simulation; the emitted stream is bit-identical for any thread count,
-/// any `emit` options, and any encode kernel set.
+/// from the calling thread, block by block: the pool simulates a block of
+/// nodes, the caller emits it and frees it, so only one block of node logs
+/// is resident besides the heavy nodes'.
+///
+/// Heavy-first: with a pool, each node whose node_cost_estimate exceeds the
+/// run's total estimate divided by `threads` (at most `threads` - 1 of
+/// them, heaviest first) is simulated as its own pool task before the first
+/// block starts, into its own buffers.  The blocks skip it; when emission
+/// reaches it, the caller waits for that task alone, emits the node and
+/// frees its buffers.  The long-pole node therefore starts with the first
+/// block and overlaps with the simulation and emission of every node before
+/// it, instead of starting only when its own block comes up.
+///
+/// Emission order, block size and the bytes each node emits do not depend
+/// on scheduling, so the stream is bit-identical for any thread count, any
+/// `emit` options and any encode kernel set.
 CampaignSummary run_campaign_streaming(
     const CampaignConfig& config,
     const std::vector<telemetry::RecordSink*>& sinks, std::size_t threads = 1,

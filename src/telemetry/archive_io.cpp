@@ -51,15 +51,15 @@ std::uint64_t read_varint(std::istream& is) {
   }
 }
 
-std::string read_exact(std::istream& is, std::uint64_t size) {
+/// Read exactly `size` bytes into `out` (its capacity is reused).
+void read_exact(std::istream& is, std::uint64_t size, std::string& out) {
   const std::uint64_t start = stream_offset(is);
-  std::string body(size, '\0');
-  is.read(body.data(), static_cast<std::streamsize>(size));
+  out.resize(size);
+  is.read(out.data(), static_cast<std::streamsize>(size));
   if (static_cast<std::uint64_t>(is.gcount()) != size)
     throw DecodeError("truncated block (wanted " + std::to_string(size) +
                           " bytes, got " + std::to_string(is.gcount()) + ")",
                       start);
-  return body;
 }
 
 }  // namespace
@@ -152,7 +152,8 @@ void ArchiveWriter::finish() {
 }
 
 ArchiveReader::ArchiveReader(std::istream& is) : is_(&is) {
-  const std::string magic = read_exact(is, sizeof kStreamMagic);
+  std::string magic;
+  read_exact(is, sizeof kStreamMagic, magic);
   if (std::memcmp(magic.data(), kStreamMagic, sizeof kStreamMagic) != 0)
     throw DecodeError("bad UNPS magic", 0);
   const int version = is.get();
@@ -164,6 +165,12 @@ ArchiveReader::ArchiveReader(std::istream& is) : is_(&is) {
 }
 
 bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
+  std::string body;
+  return next(node, log, body);
+}
+
+bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log,
+                         std::string& body) {
   if (done_) return false;
   const std::uint64_t frame_offset = stream_offset(*is_);
   const std::uint64_t index = read_varint(*is_);
@@ -182,7 +189,7 @@ bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
   node = cluster::node_from_index(static_cast<int>(index));
   const std::uint64_t size = read_varint(*is_);
   const std::uint64_t body_offset = stream_offset(*is_);
-  const std::string body = read_exact(*is_, size);
+  read_exact(*is_, size, body);
   std::size_t pos = 0;
   try {
     log = decode_node_log(body, pos, node);
@@ -202,14 +209,15 @@ void ArchiveReader::drain(RecordSink& sink) {
   sink.begin_campaign(window_);
   cluster::NodeId node;
   NodeLog log;
-  std::string scratch;
-  EncodeArena arena;
+  std::string body;
   const auto& kernels = kernels::active_encode_kernels();
-  while (next(node, log)) {
+  while (next(node, log, body)) {
     sink.begin_node(node);
-    // Bulk delivery: record-oriented sinks replay (same stream as before),
-    // byte-oriented sinks re-encode once into the reused scratch buffer.
-    EncodedNodeLog enc(node, log, scratch, kernels, &arena);
+    // Bulk delivery: record-oriented sinks replay (same stream as before);
+    // byte-oriented sinks get the frame body just read, as pre-encoded
+    // bytes (what re-encoding the decoded log would reproduce).
+    EncodedNodeLog enc(node, log, body, kernels, nullptr,
+                       /*pre_encoded=*/true);
     sink.on_node_log(enc);
     sink.end_node(node);
   }

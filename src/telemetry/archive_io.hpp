@@ -92,9 +92,19 @@ class ArchiveReader {
   /// telemetry::DecodeError with byte-offset context on corrupt or
   /// truncated input.
   [[nodiscard]] bool next(cluster::NodeId& node, NodeLog& log);
+  /// As above, also handing out the frame's body bytes (encode_node_log of
+  /// `log`) in `body`, whose capacity is reused across calls.
+  [[nodiscard]] bool next(cluster::NodeId& node, NodeLog& log,
+                          std::string& body);
 
   /// Push the remaining stream through `sink` with full framing
-  /// (begin_campaign .. end_campaign).
+  /// (begin_campaign .. end_campaign).  Each node arrives as one bulk
+  /// on_node_log whose EncodedNodeLog carries the frame body just read as
+  /// its pre-encoded bytes, so a byte-oriented sink (ArchiveWriter, the
+  /// extractor's deferred node) gets the file's bytes and no node is ever
+  /// re-encoded on replay.  A body this codec wrote re-encodes to itself,
+  /// so those bytes are exactly what encoding the decoded log would give; a
+  /// hand-made body with redundant varints passes through as read.
   void drain(RecordSink& sink);
 
   [[nodiscard]] std::uint64_t frames_read() const noexcept { return frames_; }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -62,6 +65,33 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     pool.parallel_for(10, [&](std::size_t) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPool, ParallelForDoesNotWaitForUnrelatedTasks) {
+  // A submitted task blocks until released (or until its timeout, so a
+  // parallel_for that waits for the whole pool fails instead of hanging).
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<bool> release_came_first{false};
+  pool.submit([&] {
+    std::unique_lock lock(mutex);
+    release_came_first =
+        cv.wait_for(lock, std::chrono::seconds(5), [&] { return released; });
+  });
+
+  std::atomic<int> hits{0};
+  pool.parallel_for(16, [&](std::size_t) { hits.fetch_add(1); });
+  {
+    std::lock_guard lock(mutex);
+    released = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+  EXPECT_EQ(hits.load(), 16);
+  EXPECT_TRUE(release_came_first.load())
+      << "parallel_for waited for an unrelated submitted task";
 }
 
 TEST(ThreadPool, RequiresAtLeastOneThread) {

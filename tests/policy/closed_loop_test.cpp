@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/civil_time.hpp"
 
 namespace unp::policy {
@@ -153,26 +155,25 @@ TEST(ClosedLoop, ShortWindowPageRetirementPinned) {
   config.controller.period_days = 0;
   config.controller.retire_page_repeats = 2;
   const ClosedLoopResult r = run_closed_loop(config);
-  // Both retirements leave the observed count unchanged: the actuator maps
-  // a word to its page as word_index >> 9 (8-byte words), while scan words
-  // are 4 bytes (a fault's virtual_address is word_index * 4).
+  // Each retirement unmaps the whole 4 KiB page its repeat offender sits in
+  // (word_index * 4 >> 12), which silences both retired nodes.
   EXPECT_EQ(r.open_loop_errors, 1328u);
-  EXPECT_EQ(r.closed_loop_errors, 1328u);
+  EXPECT_EQ(r.closed_loop_errors, 74u);
   EXPECT_EQ(r.quarantine_entries, 0u);
   EXPECT_EQ(r.pages_retired, 2u);
   EXPECT_EQ(r.quarantined_seconds, 0);
   EXPECT_EQ(r.scan_seconds_removed, 0);
   EXPECT_DOUBLE_EQ(r.open_mtbf_hours, 1.1024096385542168);
-  EXPECT_DOUBLE_EQ(r.closed_mtbf_hours, 1.1024096385542168);
+  EXPECT_DOUBLE_EQ(r.closed_mtbf_hours, 19.783783783783782);
   EXPECT_DOUBLE_EQ(r.node_days_quarantined, 0.0);
   EXPECT_DOUBLE_EQ(r.availability_loss, 0.0);
-  EXPECT_DOUBLE_EQ(r.causal_static_waste, 0.48458784290267326);
-  EXPECT_DOUBLE_EQ(r.causal_adaptive_waste, 0.57271169336371541);
+  EXPECT_DOUBLE_EQ(r.causal_static_waste, 0.12772673238719601);
+  EXPECT_DOUBLE_EQ(r.causal_adaptive_waste, 0.28455184222711044);
   EXPECT_EQ(r.excluded_nodes, (std::vector<cluster::NodeId>{{2, 4}}));
   EXPECT_EQ(r.actuations.size(), 2u);
   expect_per_node(r, {
       {{0, 5}, 2, 2, 0, 1}, {{1, 11}, 3, 3, 0, 1}, {{2, 6}, 2, 2, 0, 1},
-      {{2, 13}, 4, 4, 0, 1}, {{3, 4}, 2, 2, 0, 1}, {{4, 5}, 792, 792, 1, 2},
+      {{2, 13}, 4, 4, 0, 1}, {{3, 4}, 2, 2, 0, 1}, {{4, 5}, 792, 0, 1, 2},
       {{5, 11}, 2, 2, 0, 1}, {{6, 11}, 1, 1, 0, 1}, {{9, 8}, 2, 2, 0, 1},
       {{14, 1}, 1, 1, 0, 1}, {{16, 5}, 2, 2, 0, 1}, {{18, 8}, 1, 1, 0, 1},
       {{21, 5}, 2, 2, 0, 1}, {{22, 13}, 1, 1, 0, 1}, {{24, 1}, 1, 1, 0, 1},
@@ -182,10 +183,21 @@ TEST(ClosedLoop, ShortWindowPageRetirementPinned) {
       {{37, 8}, 5, 5, 0, 1}, {{39, 0}, 1, 1, 0, 1}, {{39, 14}, 2, 2, 0, 1},
       {{41, 11}, 4, 4, 0, 1}, {{43, 0}, 1, 1, 0, 1}, {{48, 11}, 3, 3, 0, 1},
       {{50, 1}, 1, 1, 0, 1}, {{52, 6}, 1, 1, 0, 1}, {{53, 10}, 1, 1, 0, 1},
-      {{53, 14}, 2, 2, 0, 1}, {{58, 2}, 462, 462, 1, 2}, {{58, 5}, 3, 3, 0, 1},
+      {{53, 14}, 2, 2, 0, 1}, {{58, 2}, 462, 0, 1, 2}, {{58, 5}, 3, 3, 0, 1},
       {{59, 11}, 1, 1, 0, 1}, {{59, 13}, 2, 2, 0, 1}, {{60, 9}, 4, 4, 0, 1},
       {{62, 10}, 1, 1, 0, 1}
   });
+
+  // A retired page must absorb faults: every node that retired one sees
+  // fewer faults closed-loop than open-loop.
+  for (const Actuation& a : r.actuations) {
+    if (!a.is_retirement) continue;
+    const auto it = std::find_if(
+        r.per_node.begin(), r.per_node.end(),
+        [&](const ClosedLoopNodeReport& node) { return node.node == a.node; });
+    ASSERT_NE(it, r.per_node.end()) << cluster::node_name(a.node);
+    EXPECT_LT(it->closed_faults, it->open_faults) << cluster::node_name(a.node);
+  }
 }
 
 }  // namespace

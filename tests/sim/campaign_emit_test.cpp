@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/simd_dispatch.hpp"
+#include "sim/shard.hpp"
 #include "telemetry/archive_io.hpp"
 #include "telemetry/kernels/kernels.hpp"
 
@@ -115,6 +118,67 @@ TEST(CampaignEmit, MixedSinksShareOneEncodedBody) {
   EXPECT_EQ(archive.total_raw_errors(), solo_archive.total_raw_errors());
   EXPECT_DOUBLE_EQ(archive.total_terabyte_hours(),
                    solo_archive.total_terabyte_hours());
+}
+
+// Heavy-first scheduling: a window before the pathological node's removal
+// (2015-06-20), so its stuck words are logged every pass and it is the one
+// node heavy enough to run as its own pool task.  Wherever it sits in the
+// monitored list (first, last or its default slot), and whether or not a
+// shard owns it, the stream must equal the 1-thread stream byte for byte.
+CampaignConfig pathological_config(const cluster::NodeId& node) {
+  CampaignConfig config = short_config();
+  config.window.start = from_civil_utc({2015, 4, 1, 0, 0, 0});
+  config.window.end = from_civil_utc({2015, 4, 8, 0, 0, 0});
+  config.faults.pathological.node = node;
+  // Maintenance gaps (up to 5 days each) can blank a one-week window for a
+  // node; without them every placement is scanned.
+  config.availability.maintenance_gaps_mean = 0.0;
+  return config;
+}
+
+std::string shard_stream_bytes(const CampaignConfig& config,
+                               const ShardSpec& spec, std::size_t threads) {
+  std::ostringstream os(std::ios::binary);
+  telemetry::ArchiveWriter writer(os);
+  (void)run_campaign_shard(config, spec, {&writer}, threads);
+  return os.str();
+}
+
+TEST(CampaignEmit, HeavyFirstStreamIdenticalWherePathologicalNodeSits) {
+  const cluster::Topology topology = campaign_topology(short_config());
+  const std::vector<cluster::NodeId>& monitored = topology.monitored_nodes();
+  const cluster::NodeId default_node = CampaignConfig{}.faults.pathological.node;
+  for (const cluster::NodeId node :
+       {monitored.front(), monitored.back(), default_node}) {
+    SCOPED_TRACE(cluster::node_name(node));
+    const CampaignConfig config = pathological_config(node);
+    const auto position = static_cast<std::size_t>(
+        std::find(monitored.begin(), monitored.end(), node) - monitored.begin());
+    ASSERT_LT(position, monitored.size());
+
+    // The estimate singles the node out: above total / 2, so it is heavy
+    // at every pool size.
+    const OpenLoopFleet fleet = build_open_loop_fleet(config, nullptr);
+    std::uint64_t total = 0;
+    for (std::size_t j = 0; j < monitored.size(); ++j)
+      total += node_cost_estimate(fleet, j);
+    ASSERT_GT(node_cost_estimate(fleet, position) * 2, total);
+
+    const int owner = static_cast<int>(position % 4);
+    for (const ShardSpec spec :
+         {ShardSpec{}, ShardSpec{4, owner}, ShardSpec{4, (owner + 1) % 4}}) {
+      SCOPED_TRACE(testing::Message() << "shard " << spec.index << "/"
+                                      << spec.count);
+      const std::string expect = shard_stream_bytes(config, spec, 1);
+      ASSERT_GT(expect.size(), 1u << 12);
+      for (const std::size_t threads :
+           {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+        // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print megabytes.
+        EXPECT_TRUE(shard_stream_bytes(config, spec, threads) == expect)
+            << "threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

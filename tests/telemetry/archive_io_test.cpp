@@ -61,6 +61,18 @@ TEST(ArchiveStream, RoundTripThroughSinkProtocol) {
   EXPECT_EQ(archive.total_raw_errors(), 2u * 42u);
 }
 
+TEST(ArchiveStream, DrainIntoWriterReproducesStreamBytes) {
+  // drain hands each frame's body to the writer as pre-encoded bytes: the
+  // re-spilled stream must equal the original byte for byte.
+  const std::string bytes = write_sample_stream(CampaignWindow{});
+  std::istringstream is(bytes, std::ios::binary);
+  std::ostringstream os(std::ios::binary);
+  ArchiveWriter writer(os);
+  ArchiveReader(is).drain(writer);
+  EXPECT_EQ(writer.frames_written(), 2u);
+  EXPECT_EQ(os.str(), bytes);
+}
+
 TEST(ArchiveStream, NodeByNodeIteration) {
   const std::string bytes = write_sample_stream(CampaignWindow{});
   std::istringstream is(bytes, std::ios::binary);
