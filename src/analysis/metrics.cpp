@@ -110,15 +110,16 @@ TemperatureProfile temperature_profile(FaultView faults) {
   return analyzer.profile();
 }
 
-void accumulate_daily_terabyte_hours(const telemetry::NodeLog& log,
+void accumulate_daily_terabyte_hours(const telemetry::SessionRecords& log,
                                      const CampaignWindow& window,
                                      std::vector<double>& series) {
   constexpr double kBytesPerTb = 1099511627776.0;
   // Pair STARTs with ENDs using the same conservative rule as
   // NodeLog::monitored_hours, then split each session across local days.
   std::size_t e = 0;
-  const auto& starts = log.starts();
-  const auto& ends = log.ends();
+  const auto& starts = log.starts;
+  const auto& ends = log.ends;
+  const std::int64_t first_day = BarcelonaClock::local_day_index(window.start);
   for (std::size_t s = 0; s < starts.size(); ++s) {
     while (e < ends.size() && ends[e].time < starts[s].time) ++e;
     const TimePoint next_start = s + 1 < starts.size() ? starts[s + 1].time : 0;
@@ -131,7 +132,7 @@ void accumulate_daily_terabyte_hours(const telemetry::NodeLog& log,
     const TimePoint session_end = ends[e].time;
     ++e;
     while (t < session_end) {
-      const std::int64_t day = window.day_of_campaign(t);
+      const std::int64_t day = BarcelonaClock::local_day_index(t) - first_day;
       // End of the local day containing t.
       const TimePoint local_midnight =
           t + (kSecondsPerDay -
@@ -150,8 +151,8 @@ std::vector<double> daily_terabyte_hours(const telemetry::CampaignArchive& archi
   const CampaignWindow& window = archive.window();
   std::vector<double> series(series_days(window), 0.0);
   for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    accumulate_daily_terabyte_hours(archive.log(cluster::node_from_index(i)),
-                                    window, series);
+    accumulate_daily_terabyte_hours(
+        archive.log(cluster::node_from_index(i)).sessions(), window, series);
   }
   return series;
 }
@@ -258,7 +259,7 @@ void ScanProfileSink::on_node_log(telemetry::EncodedNodeLog& log) {
   // A bulk frame replaces the per-record collection: no records may have
   // been pushed into this frame already, and none may follow.
   UNP_REQUIRE(pending_.empty() && !bulk_);
-  add_node(log.node(), log.log());
+  add_node(log.node(), log.sessions());
   bulk_ = true;
 }
 
@@ -267,12 +268,12 @@ void ScanProfileSink::end_node(cluster::NodeId node) {
     bulk_ = false;
     return;
   }
-  add_node(node, pending_);
+  add_node(node, pending_.sessions());
   pending_.clear();
 }
 
 void ScanProfileSink::add_node(cluster::NodeId node,
-                               const telemetry::NodeLog& log) {
+                               const telemetry::SessionRecords& log) {
   const double hours = log.monitored_hours();
   const double tbh = log.terabyte_hours();
   hours_.at(static_cast<std::size_t>(node.blade),

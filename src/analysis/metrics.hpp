@@ -82,7 +82,7 @@ struct TemperatureProfile {
 /// rule, each session split across local-day boundaries.  Shared by the
 /// batch daily_terabyte_hours and the streaming ScanProfileSink so both
 /// paths run identical floating-point arithmetic.
-void accumulate_daily_terabyte_hours(const telemetry::NodeLog& log,
+void accumulate_daily_terabyte_hours(const telemetry::SessionRecords& log,
                                      const CampaignWindow& window,
                                      std::vector<double>& series);
 
@@ -148,7 +148,9 @@ struct HeadlineStats {
 /// archive (Figs 1, 2, 9 and the headline scan totals), computed in one pass
 /// over the record stream without materializing a CampaignArchive.  Only
 /// START/END records are buffered, one node at a time; a node delivered in
-/// bulk (on_node_log) is read in place with nothing buffered.
+/// bulk (on_node_log) is read in place with nothing buffered, through
+/// EncodedNodeLog::sessions(), so a replayed node's error runs are never
+/// built for it.
 class ScanProfileSink final : public telemetry::RecordSink {
  public:
   ScanProfileSink();
@@ -183,7 +185,7 @@ class ScanProfileSink final : public telemetry::RecordSink {
   telemetry::NodeLog pending_;  ///< starts/ends of the node being streamed
   bool bulk_ = false;           ///< current node already added by on_node_log
 
-  void add_node(cluster::NodeId node, const telemetry::NodeLog& log);
+  void add_node(cluster::NodeId node, const telemetry::SessionRecords& log);
 };
 
 /// Fig 3 incrementally.

@@ -49,26 +49,27 @@ void StreamingExtractor::end_node(cluster::NodeId node) {
 
 void StreamingExtractor::on_node_log(telemetry::EncodedNodeLog& enc) {
   UNP_REQUIRE(!finished_);
-  const telemetry::NodeLog& log = enc.log();
   const auto index = static_cast<std::size_t>(cluster::node_index(enc.node()));
-  const std::uint64_t raw = log.raw_error_count();
-  sessions_ += log.starts().size();
+  const std::uint64_t raw = enc.raw_error_count();
+  sessions_ += enc.sessions().starts.size();
   raw_per_node_[index] += raw;
   raw_total_ += raw;
-  if (log.error_runs().empty()) return;
+  const std::size_t runs = enc.error_run_count();
+  if (runs == 0) return;
 
   // The producer's log need not outlive this call.  A deferred node keeps
-  // its encoded body, a third of its runs' size, unless runs of it are
-  // buffered already; end_node collapses (or defers) whatever is pending,
-  // so those cases take one bulk copy of the runs.  Only a node with no
-  // buffered runs, no observer and no deferral collapses here, straight
-  // from the producer's log.
+  // its encoded body (shared with a replayed frame, so neither copied nor
+  // decoded here), unless runs of it are buffered already; end_node
+  // collapses (or defers) whatever is pending, so those cases take one
+  // bulk copy of the runs.  Only a node with no buffered runs, no observer
+  // and no deferral collapses here, straight from the producer's log.
   const bool buffered = !pending_[index].error_runs().empty() ||
-                        !deferred_[index].bytes.empty();
+                        deferred_[index].bytes != nullptr;
   if (defers(index) && !buffered) {
-    deferred_[index] = {enc.bytes(), log.error_runs().size()};
+    deferred_[index] = {enc.share_bytes(), runs};
     return;
   }
+  const telemetry::NodeLog& log = enc.log();
   if (observer_ || defers(index) || buffered) {
     pending_[index].add_error_runs(log.error_runs());
     return;
@@ -90,12 +91,12 @@ std::size_t StreamingExtractor::pending_runs() const noexcept {
 void StreamingExtractor::collapse_pending(std::size_t index) {
   telemetry::NodeLog& log = pending_[index];
   DeferredBody& body = deferred_[index];
-  if (!body.bytes.empty()) {
+  if (body.bytes != nullptr) {
     const cluster::NodeId node =
         cluster::node_from_index(static_cast<int>(index));
     std::size_t pos = 0;
     telemetry::NodeLog decoded =
-        telemetry::decode_node_log(body.bytes, pos, node);
+        telemetry::decode_node_log(*body.bytes, pos, node);
     decoded.add_error_runs(log.error_runs());
     log = std::move(decoded);
     body = DeferredBody{};

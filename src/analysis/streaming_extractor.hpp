@@ -12,8 +12,8 @@
 //     via the exact collapse_node_log used by the batch path — the raw runs
 //     are freed right there, mid-stream;
 //   - a node delivered in bulk (on_node_log) is read in place: its runs
-//     collapse straight from the producer's NodeLog, with no per-record
-//     replay and no copy;
+//     collapse straight from the producer's NodeLog (EncodedNodeLog::log()),
+//     with no per-record replay and no copy;
 //   - finish() applies the pathological-node filter (which requires the
 //     campaign-wide raw total, hence it cannot happen earlier) and the final
 //     deterministic sort.
@@ -21,13 +21,16 @@
 // Deferred collapse: with no node observer set, a node whose raw count
 // reaches pathological_min_raw — the only kind the filter can drop — is
 // left uncollapsed until finish(), which collapses it only if the filter
-// keeps the node.  A node delivered in bulk is kept as the encoded body
-// (EncodedNodeLog::bytes(), 42 MB for the seed-42 pathological node against
-// 145 MB of decoded runs) and decoded in finish() only if kept; one fed
-// record by record keeps its buffered runs.  Collapse is a pure function of
-// the node's runs, so deferring it changes nothing but the work done.  With
-// an observer set every node collapses at end_node, where the observer
-// fires.
+// keeps the node.  A node delivered in bulk is kept as its encoded body
+// (EncodedNodeLog::share_bytes(), 42 MB for the seed-42 pathological node
+// against 145 MB of decoded runs) and decoded in finish() only if kept;
+// one fed record by record keeps its buffered runs.  The deferral reads
+// only the node's counts and bytes, so a node replayed from a UNPS stream
+// (ArchiveReader::drain) is shared as the frame it was read in: its runs
+// are never built, and its body is never copied.  Collapse is a pure
+// function of the node's runs, so deferring it changes nothing but the
+// work done.  With an observer set every node collapses at end_node, where
+// the observer fires.
 //
 // The result is bit-identical to extract_faults on the same stream, which
 // tests/analysis/streaming_extractor_test.cpp asserts over a full campaign.
@@ -35,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -97,9 +101,10 @@ class StreamingExtractor final : public telemetry::RecordSink {
   /// collapse is deferred to finish().
   std::vector<telemetry::NodeLog> pending_;
   /// A deferred bulk node's encoded body (decoded in finish() if kept; its
-  /// runs precede any in pending_) and the run count it holds.
+  /// runs precede any in pending_) and the run count it holds.  Shared with
+  /// the replayed frame it came from, copied from a producer's log.
   struct DeferredBody {
-    std::string bytes;
+    std::shared_ptr<const std::string> bytes;
     std::size_t runs = 0;
   };
   std::vector<DeferredBody> deferred_;

@@ -77,12 +77,27 @@ std::int64_t last_sunday(int year, int month) noexcept {
 }  // namespace
 
 std::int64_t BarcelonaClock::utc_offset(TimePoint t) noexcept {
-  const int year = to_civil_utc(t).year;
-  const TimePoint dst_start =
-      last_sunday(year, 3) * kSecondsPerDay + 1 * kSecondsPerHour;
-  const TimePoint dst_end =
-      last_sunday(year, 10) * kSecondsPerDay + 1 * kSecondsPerHour;
-  const bool dst = t >= dst_start && t < dst_end;
+  // The DST bounds of the last UTC year asked about, per thread: analyses
+  // ask about instants in time order, so nearly every call is a hit.  An
+  // empty year range starts the cache off as a miss.
+  struct DstYear {
+    TimePoint year_start = 0;
+    TimePoint next_year_start = 0;  ///< exclusive
+    TimePoint dst_start = 0;
+    TimePoint dst_end = 0;
+  };
+  thread_local DstYear cached;
+  if (t < cached.year_start || t >= cached.next_year_start) {
+    const int year = to_civil_utc(t).year;
+    // Counted back from March 1 so no other year's date is computed.
+    const std::int64_t leap = is_leap_year(year) ? 1 : 0;
+    cached.year_start =
+        (days_from_civil(year, 3, 1) - 59 - leap) * kSecondsPerDay;
+    cached.next_year_start = cached.year_start + (365 + leap) * kSecondsPerDay;
+    cached.dst_start = last_sunday(year, 3) * kSecondsPerDay + kSecondsPerHour;
+    cached.dst_end = last_sunday(year, 10) * kSecondsPerDay + kSecondsPerHour;
+  }
+  const bool dst = t >= cached.dst_start && t < cached.dst_end;
   return dst ? 2 * kSecondsPerHour : kSecondsPerHour;
 }
 

@@ -45,6 +45,11 @@ class NodeLog {
     return error_runs_;
   }
 
+  /// The START, END and ALLOC-FAIL records, without the error runs.
+  [[nodiscard]] SessionRecords sessions() const noexcept {
+    return {starts_, ends_, alloc_fails_};
+  }
+
   /// Total number of raw ERROR log lines represented (runs expanded).
   [[nodiscard]] std::uint64_t raw_error_count() const noexcept;
 

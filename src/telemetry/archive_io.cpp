@@ -1,12 +1,12 @@
 #include "telemetry/archive_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 
 #include "common/require.hpp"
-#include "telemetry/binary_codec.hpp"
 #include "telemetry/kernels/kernels.hpp"
 
 namespace unp::telemetry {
@@ -26,40 +26,29 @@ void write_varint(std::ostream& os, std::uint64_t value) {
   UNP_REQUIRE(os.good());
 }
 
-/// Stream offset for decode-error context; 0 when the stream cannot tell
-/// (already failed, or not seekable).
-std::uint64_t stream_offset(std::istream& is) {
-  const std::streamoff off = is.rdstate() ? -1 : std::streamoff(is.tellg());
-  return off < 0 ? 0 : static_cast<std::uint64_t>(off);
+DecodeError anchored(const RawFrame& raw, const DecodeError& e) {
+  return DecodeError(raw.context + "node frame for " +
+                         cluster::node_name(raw.node) + ": " + e.detail(),
+                     raw.body_offset + e.byte_offset());
 }
 
-std::uint64_t read_varint(std::istream& is) {
-  const std::uint64_t start = stream_offset(is);
-  std::uint64_t value = 0;
-  int shift = 0;
-  for (;;) {
-    const int c = is.get();
-    if (c == std::char_traits<char>::eof())
-      throw DecodeError("truncated varint", start);
-    if (shift >= 64)
-      throw DecodeError("varint overflow (> 10 bytes)", start);
-    if (shift == 63 && (c & 0x7E) != 0)
-      throw DecodeError("varint overflow (bits beyond 64)", start);
-    value |= static_cast<std::uint64_t>(c & 0x7F) << shift;
-    if ((c & 0x80) == 0) return value;
-    shift += 7;
+void require_whole_body(const RawFrame& raw, std::size_t pos) {
+  if (pos != raw.body->size())
+    throw DecodeError(raw.context + "node frame body size mismatch",
+                      raw.body_offset + pos);
+}
+
+/// Scan `raw` (scan_node_log), throwing what decode_frame would throw.
+ReplayedFrame scan_frame(RawFrame raw) {
+  std::size_t pos = 0;
+  NodeLogScan scan;
+  try {
+    scan = scan_node_log(*raw.body, pos, raw.node);
+  } catch (const DecodeError& e) {
+    throw anchored(raw, e);
   }
-}
-
-/// Read exactly `size` bytes into `out` (its capacity is reused).
-void read_exact(std::istream& is, std::uint64_t size, std::string& out) {
-  const std::uint64_t start = stream_offset(is);
-  out.resize(size);
-  is.read(out.data(), static_cast<std::streamsize>(size));
-  if (static_cast<std::uint64_t>(is.gcount()) != size)
-    throw DecodeError("truncated block (wanted " + std::to_string(size) +
-                          " bytes, got " + std::to_string(is.gcount()) + ")",
-                      start);
+  require_whole_body(raw, pos);
+  return ReplayedFrame(raw.node, std::move(raw.body), std::move(scan));
 }
 
 }  // namespace
@@ -151,31 +140,107 @@ void ArchiveWriter::finish() {
   finished_ = true;
 }
 
+std::uint64_t stream_offset(std::istream& is) {
+  const std::streamoff off = is.rdstate() ? -1 : std::streamoff(is.tellg());
+  return off < 0 ? 0 : static_cast<std::uint64_t>(off);
+}
+
+std::uint64_t read_stream_varint(std::istream& is) {
+  const std::uint64_t start = stream_offset(is);
+  std::uint64_t value = 0;
+  int shift = 0;
+  for (;;) {
+    const int c = is.get();
+    if (c == std::char_traits<char>::eof())
+      throw DecodeError("truncated varint", start);
+    if (shift >= 64)
+      throw DecodeError("varint overflow (> 10 bytes)", start);
+    if (shift == 63 && (c & 0x7E) != 0)
+      throw DecodeError("varint overflow (bits beyond 64)", start);
+    value |= static_cast<std::uint64_t>(c & 0x7F) << shift;
+    if ((c & 0x80) == 0) return value;
+    shift += 7;
+  }
+}
+
+void read_stream_block(std::istream& is, std::uint64_t size, std::string& out) {
+  // Reserve at most 64 MiB up front (address space, not memory, until
+  // written), then read in chunks that double from 64 KiB: what is
+  // zero-filled ahead of the read is never more than twice what arrived.
+  constexpr std::uint64_t kUpFront = std::uint64_t{64} << 20;
+  constexpr std::uint64_t kFirstChunk = std::uint64_t{64} << 10;
+  const std::uint64_t start = stream_offset(is);
+  out.clear();
+  out.reserve(static_cast<std::size_t>(std::min(size, kUpFront)));
+  std::uint64_t got = 0;
+  while (got < size) {
+    const std::uint64_t chunk =
+        std::min(size - got, std::max(got, kFirstChunk));
+    out.resize(static_cast<std::size_t>(got + chunk));
+    is.read(out.data() + got, static_cast<std::streamsize>(chunk));
+    got += static_cast<std::uint64_t>(is.gcount());
+    if (static_cast<std::uint64_t>(is.gcount()) != chunk)
+      throw DecodeError("truncated block (wanted " + std::to_string(size) +
+                            " bytes, got " + std::to_string(got) + ")",
+                        start);
+  }
+}
+
+const NodeLog& ReplayedFrame::log() {
+  if (!built_) {
+    build_scanned_runs(*body_, node_, scan_);
+    built_ = true;
+  }
+  return scan_.log;
+}
+
+NodeLog decode_frame(const RawFrame& raw) {
+  std::size_t pos = 0;
+  NodeLog log;
+  try {
+    log = decode_node_log(*raw.body, pos, raw.node);
+  } catch (const DecodeError& e) {
+    throw anchored(raw, e);
+  }
+  require_whole_body(raw, pos);
+  return log;
+}
+
+void drain_frames(const CampaignWindow& window,
+                  const std::function<bool(RawFrame&)>& read,
+                  RecordSink& sink) {
+  sink.begin_campaign(window);
+  for (;;) {
+    RawFrame raw;
+    if (!read(raw)) break;
+    ReplayedFrame frame = scan_frame(std::move(raw));
+    EncodedNodeLog enc(frame);
+    sink.begin_node(frame.node());
+    sink.on_node_log(enc);
+    sink.end_node(frame.node());
+  }
+  sink.end_campaign();
+}
+
 ArchiveReader::ArchiveReader(std::istream& is) : is_(&is) {
   std::string magic;
-  read_exact(is, sizeof kStreamMagic, magic);
+  read_stream_block(is, sizeof kStreamMagic, magic);
   if (std::memcmp(magic.data(), kStreamMagic, sizeof kStreamMagic) != 0)
     throw DecodeError("bad UNPS magic", 0);
   const int version = is.get();
   if (version != kStreamVersion)
     throw DecodeError("unsupported UNPS version " + std::to_string(version),
                       sizeof kStreamMagic);
-  window_.start = zigzag_decode(read_varint(is));
-  window_.end = zigzag_decode(read_varint(is));
+  window_.start = zigzag_decode(read_stream_varint(is));
+  window_.end = zigzag_decode(read_stream_varint(is));
 }
 
-bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
-  std::string body;
-  return next(node, log, body);
-}
-
-bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log,
-                         std::string& body) {
+bool ArchiveReader::read_frame(RawFrame& raw) {
   if (done_) return false;
   const std::uint64_t frame_offset = stream_offset(*is_);
-  const std::uint64_t index = read_varint(*is_);
+  const std::uint64_t index = read_stream_varint(*is_);
   if (index == kEndFrame) {
-    const std::uint64_t declared = read_varint(*is_);
+    const std::uint64_t declared = read_stream_varint(*is_);
     if (declared != frames_)
       throw DecodeError("frame count mismatch (declared " +
                             std::to_string(declared) + ", read " +
@@ -186,42 +251,26 @@ bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log,
   }
   if (index > kEndFrame)
     throw DecodeError("node index out of range", frame_offset);
-  node = cluster::node_from_index(static_cast<int>(index));
-  const std::uint64_t size = read_varint(*is_);
-  const std::uint64_t body_offset = stream_offset(*is_);
-  read_exact(*is_, size, body);
-  std::size_t pos = 0;
-  try {
-    log = decode_node_log(body, pos, node);
-  } catch (const DecodeError& e) {
-    // Re-anchor the body-relative offset to the stream position.
-    throw DecodeError("node frame for " + cluster::node_name(node) + ": " +
-                          e.detail(),
-                      body_offset + e.byte_offset());
-  }
-  if (pos != body.size())
-    throw DecodeError("node frame body size mismatch", body_offset + pos);
+  raw.node = cluster::node_from_index(static_cast<int>(index));
+  const std::uint64_t size = read_stream_varint(*is_);
+  raw.body_offset = stream_offset(*is_);
+  raw.body = std::make_shared<std::string>();
+  read_stream_block(*is_, size, *raw.body);
   ++frames_;
   return true;
 }
 
+bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
+  RawFrame raw;
+  if (!read_frame(raw)) return false;
+  log = decode_frame(raw);
+  node = raw.node;
+  return true;
+}
+
 void ArchiveReader::drain(RecordSink& sink) {
-  sink.begin_campaign(window_);
-  cluster::NodeId node;
-  NodeLog log;
-  std::string body;
-  const auto& kernels = kernels::active_encode_kernels();
-  while (next(node, log, body)) {
-    sink.begin_node(node);
-    // Bulk delivery: record-oriented sinks replay (same stream as before);
-    // byte-oriented sinks get the frame body just read, as pre-encoded
-    // bytes (what re-encoding the decoded log would reproduce).
-    EncodedNodeLog enc(node, log, body, kernels, nullptr,
-                       /*pre_encoded=*/true);
-    sink.on_node_log(enc);
-    sink.end_node(node);
-  }
-  sink.end_campaign();
+  drain_frames(
+      window_, [this](RawFrame& raw) { return read_frame(raw); }, sink);
 }
 
 void save_archive_stream(const CampaignArchive& archive, const std::string& path) {

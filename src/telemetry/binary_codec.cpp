@@ -15,7 +15,7 @@ namespace {
 constexpr char kMagic[4] = {'U', 'N', 'P', 'A'};
 constexpr std::uint8_t kVersion = 1;
 
-double get_temp(const std::string& in, std::size_t& pos) {
+double get_temp(std::string_view in, std::size_t& pos) {
   if (pos >= in.size()) throw DecodeError("truncated temperature flag", pos);
   const char flag = in[pos++];
   if (flag != 0 && flag != 1)
@@ -28,7 +28,7 @@ double get_temp(const std::string& in, std::size_t& pos) {
 struct TimeDelta {
   TimePoint previous = 0;
 
-  TimePoint get(const std::string& in, std::size_t& pos) {
+  TimePoint get(std::string_view in, std::size_t& pos) {
     previous += zigzag_decode(get_varint(in, pos));
     return previous;
   }
@@ -172,18 +172,22 @@ std::string encode_node_log(const NodeLog& log) {
   return out;
 }
 
-NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,
-                        cluster::NodeId node) {
-  NodeLog log;
-  // Capacity hint, clamped so a corrupt count cannot force a huge
-  // allocation: every record costs at least one encoded byte.
-  const auto clamp = [&](std::uint64_t n) {
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(n, bytes.size() - pos));
-  };
+namespace {
+
+/// Capacity hint for `n` records, clamped so a corrupt count cannot force a
+/// huge allocation: every record costs at least one encoded byte.
+std::size_t clamped_count(std::uint64_t n, std::string_view bytes,
+                          std::size_t pos) {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, bytes.size() - pos));
+}
+
+/// The START, END and ALLOCFAIL sections of a node-log body, into `log`.
+void decode_session_sections(std::string_view bytes, std::size_t& pos,
+                             cluster::NodeId node, NodeLog& log) {
   {
     const std::uint64_t n = get_varint(bytes, pos);
-    log.reserve_starts(clamp(n));
+    log.reserve_starts(clamped_count(n, bytes, pos));
     TimeDelta td;
     for (std::uint64_t i = 0; i < n; ++i) {
       StartRecord r;
@@ -196,7 +200,7 @@ NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,
   }
   {
     const std::uint64_t n = get_varint(bytes, pos);
-    log.reserve_ends(clamp(n));
+    log.reserve_ends(clamped_count(n, bytes, pos));
     TimeDelta td;
     for (std::uint64_t i = 0; i < n; ++i) {
       EndRecord r;
@@ -208,32 +212,68 @@ NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,
   }
   {
     const std::uint64_t n = get_varint(bytes, pos);
-    log.reserve_alloc_fails(clamp(n));
+    log.reserve_alloc_fails(clamped_count(n, bytes, pos));
     TimeDelta td;
     for (std::uint64_t i = 0; i < n; ++i) {
       log.add_alloc_fail({td.get(bytes, pos), node});
     }
   }
-  {
-    const std::uint64_t n = get_varint(bytes, pos);
-    log.reserve_error_runs(clamp(n));
-    TimeDelta td;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      ErrorRun run;
-      run.first.time = td.get(bytes, pos);
-      run.first.node = node;
-      run.first.virtual_address = get_varint(bytes, pos);
-      run.first.expected = static_cast<Word>(get_varint(bytes, pos));
-      run.first.actual = static_cast<Word>(get_varint(bytes, pos));
-      run.first.temperature_c = get_temp(bytes, pos);
-      run.first.physical_page = get_varint(bytes, pos);
-      run.period_s = static_cast<std::int64_t>(get_varint(bytes, pos));
-      run.count = get_varint(bytes, pos);
-      if (run.count < 1) throw DecodeError("error run with zero count", pos);
-      log.add_error_run(run);
-    }
+}
+
+/// The `n` records of a RUNS section, each handed to `on_run`.  The one
+/// run parser: decoding, scanning and building a scanned log all go
+/// through it, so they accept and reject exactly the same bytes.
+template <typename OnRun>
+void decode_run_records(std::string_view bytes, std::size_t& pos,
+                        cluster::NodeId node, std::uint64_t n, OnRun&& on_run) {
+  TimeDelta td;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ErrorRun run;
+    run.first.time = td.get(bytes, pos);
+    run.first.node = node;
+    run.first.virtual_address = get_varint(bytes, pos);
+    run.first.expected = static_cast<Word>(get_varint(bytes, pos));
+    run.first.actual = static_cast<Word>(get_varint(bytes, pos));
+    run.first.temperature_c = get_temp(bytes, pos);
+    run.first.physical_page = get_varint(bytes, pos);
+    run.period_s = static_cast<std::int64_t>(get_varint(bytes, pos));
+    run.count = get_varint(bytes, pos);
+    if (run.count < 1) throw DecodeError("error run with zero count", pos);
+    on_run(run);
   }
+}
+
+}  // namespace
+
+NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,
+                        cluster::NodeId node) {
+  NodeLog log;
+  decode_session_sections(bytes, pos, node, log);
+  const std::uint64_t n = get_varint(bytes, pos);
+  log.reserve_error_runs(clamped_count(n, bytes, pos));
+  decode_run_records(bytes, pos, node, n,
+                     [&log](const ErrorRun& run) { log.add_error_run(run); });
   return log;
+}
+
+NodeLogScan scan_node_log(std::string_view bytes, std::size_t& pos,
+                          cluster::NodeId node) {
+  NodeLogScan scan;
+  decode_session_sections(bytes, pos, node, scan.log);
+  scan.runs = get_varint(bytes, pos);
+  scan.runs_pos = pos;
+  decode_run_records(bytes, pos, node, scan.runs,
+                     [&scan](const ErrorRun& run) { scan.raw += run.count; });
+  return scan;
+}
+
+void build_scanned_runs(std::string_view bytes, cluster::NodeId node,
+                        NodeLogScan& scan) {
+  std::size_t pos = scan.runs_pos;
+  scan.log.reserve_error_runs(static_cast<std::size_t>(scan.runs));
+  decode_run_records(bytes, pos, node, scan.runs, [&scan](const ErrorRun& run) {
+    scan.log.add_error_run(run);
+  });
 }
 
 std::string encode_archive(const CampaignArchive& archive) {

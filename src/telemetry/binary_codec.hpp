@@ -97,6 +97,28 @@ void encode_node_log_into(const NodeLog& log, std::string& out,
 [[nodiscard]] NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,
                                       cluster::NodeId node);
 
+/// A node-log body decoded without its error runs: the START, END and
+/// ALLOCFAIL sections are in `log`, the RUNS section is validated and
+/// counted.  build_scanned_runs appends the runs later, from the same bytes.
+struct NodeLogScan {
+  NodeLog log;               ///< session records; error runs once built
+  std::size_t runs_pos = 0;  ///< body offset of the first run record
+  std::uint64_t runs = 0;    ///< error runs in the RUNS section
+  std::uint64_t raw = 0;     ///< raw ERROR lines (their summed counts)
+};
+
+/// decode_node_log without building the error runs.  Every run record is
+/// parsed with decode_node_log's own checks, so the two accept the same
+/// bodies, throw the same DecodeError at the same offset, and leave `pos`
+/// at the same place.
+[[nodiscard]] NodeLogScan scan_node_log(std::string_view bytes,
+                                        std::size_t& pos, cluster::NodeId node);
+
+/// Append the error runs of a body `scan` was taken of (scan_node_log
+/// validated them, so this cannot fail) to `scan.log`; call once.
+void build_scanned_runs(std::string_view bytes, cluster::NodeId node,
+                        NodeLogScan& scan);
+
 /// Serialize a whole campaign archive.
 [[nodiscard]] std::string encode_archive(const CampaignArchive& archive);
 

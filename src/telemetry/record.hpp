@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -93,6 +94,28 @@ struct ErrorRun {
   [[nodiscard]] std::vector<ErrorRecord> expand() const;
 
   friend bool operator==(const ErrorRun&, const ErrorRun&) = default;
+};
+
+/// A node's session records (START, END, ALLOC-FAIL) without its error
+/// runs: everything scan-time accounting reads.  A view into the log it
+/// was taken from.
+struct SessionRecords {
+  std::span<const StartRecord> starts;
+  std::span<const EndRecord> ends;
+  std::span<const AllocFailRecord> alloc_fails;
+
+  [[nodiscard]] bool empty() const noexcept {
+    return starts.empty() && ends.empty() && alloc_fails.empty();
+  }
+
+  /// Scanning hours implied by START/END pairing.  Follows the paper's
+  /// conservative rule: a START followed by another START (hard reboot, END
+  /// lost) contributes zero hours.
+  [[nodiscard]] double monitored_hours() const noexcept;
+
+  /// Terabyte-hours scanned, weighting each complete session by its
+  /// allocation size.  Same conservative pairing rule as monitored_hours.
+  [[nodiscard]] double terabyte_hours() const noexcept;
 };
 
 /// Discriminated record for serialized streams.

@@ -25,39 +25,6 @@ void write_varint(std::ostream& os, std::uint64_t value) {
   UNP_REQUIRE(os.good());
 }
 
-std::uint64_t stream_offset(std::istream& is) {
-  const std::streamoff off = is.rdstate() ? -1 : std::streamoff(is.tellg());
-  return off < 0 ? 0 : static_cast<std::uint64_t>(off);
-}
-
-std::uint64_t read_varint_at(std::istream& is, std::uint64_t start) {
-  std::uint64_t value = 0;
-  int shift = 0;
-  for (;;) {
-    const int c = is.get();
-    if (c == std::char_traits<char>::eof())
-      throw DecodeError("truncated varint", start);
-    if (shift >= 64)
-      throw DecodeError("varint overflow (> 10 bytes)", start);
-    if (shift == 63 && (c & 0x7E) != 0)
-      throw DecodeError("varint overflow (bits beyond 64)", start);
-    value |= static_cast<std::uint64_t>(c & 0x7F) << shift;
-    if ((c & 0x80) == 0) return value;
-    shift += 7;
-  }
-}
-
-std::string read_exact_at(std::istream& is, std::uint64_t size,
-                          std::uint64_t start) {
-  std::string body(size, '\0');
-  is.read(body.data(), static_cast<std::streamsize>(size));
-  if (static_cast<std::uint64_t>(is.gcount()) != size)
-    throw DecodeError("truncated block (wanted " + std::to_string(size) +
-                          " bytes, got " + std::to_string(is.gcount()) + ")",
-                      start);
-  return body;
-}
-
 }  // namespace
 
 void write_shard_header(std::ostream& os, const ShardHeader& header) {
@@ -84,10 +51,9 @@ ShardHeader read_shard_header(std::istream& is) {
     throw DecodeError("unsupported UNPH version " + std::to_string(version),
                       sizeof kShardMagic);
   ShardHeader header;
+  const std::uint64_t count = read_stream_varint(is);
   std::uint64_t offset = stream_offset(is);
-  const std::uint64_t count = read_varint_at(is, offset);
-  offset = stream_offset(is);
-  const std::uint64_t index = read_varint_at(is, offset);
+  const std::uint64_t index = read_stream_varint(is);
   if (count < 1 || count > 1u << 20)
     throw DecodeError("shard count out of range", offset);
   if (index >= count)
@@ -132,8 +98,8 @@ void ShardMergeReader::open_shards(const std::vector<std::string>& paths) {
       if (version != kStreamVersion)
         throw DecodeError("unsupported UNPS version " + std::to_string(version),
                           stream_offset(file));
-      window.start = zigzag_decode(read_varint_at(file, stream_offset(file)));
-      window.end = zigzag_decode(read_varint_at(file, stream_offset(file)));
+      window.start = zigzag_decode(read_stream_varint(file));
+      window.end = zigzag_decode(read_stream_varint(file));
     } catch (const DecodeError& e) {
       throw DecodeError("shard archive " + path + ": " + e.detail(),
                         e.byte_offset());
@@ -202,10 +168,9 @@ void ShardMergeReader::fill_head(Shard& shard) {
                       e.byte_offset());
   };
   try {
-    const std::uint64_t index = read_varint_at(shard.file, start);
+    const std::uint64_t index = read_stream_varint(shard.file);
     if (index == kEndFrame) {
-      const std::uint64_t declared =
-          read_varint_at(shard.file, stream_offset(shard.file));
+      const std::uint64_t declared = read_stream_varint(shard.file);
       if (declared != shard.frames_read)
         throw DecodeError("frame count mismatch (declared " +
                               std::to_string(declared) + ", read " +
@@ -218,10 +183,9 @@ void ShardMergeReader::fill_head(Shard& shard) {
     }
     if (index > kEndFrame)
       throw DecodeError("node index out of range", start);
-    const std::uint64_t size =
-        read_varint_at(shard.file, stream_offset(shard.file));
-    const std::uint64_t body_start = stream_offset(shard.file);
-    shard.head_body = read_exact_at(shard.file, size, body_start);
+    const std::uint64_t size = read_stream_varint(shard.file);
+    shard.head_body_offset = stream_offset(shard.file);
+    read_stream_block(shard.file, size, shard.head_body);
     shard.head_index = index;
     shard.head_offset = start;
     shard.has_head = true;
@@ -250,54 +214,42 @@ ShardMergeReader::Shard* ShardMergeReader::min_head() {
   return best;
 }
 
-bool ShardMergeReader::next_raw(std::uint64_t& node_index, std::string& body) {
+bool ShardMergeReader::next_frame(RawFrame& raw) {
+  // A shard's next frame is read only when the merge needs its head, so a
+  // fault in it surfaces after every frame merged before it.
+  for (auto& shard : shards_) fill_head(shard);
   Shard* shard = min_head();
   if (shard == nullptr) return false;
-  node_index = shard->head_index;
-  body = std::move(shard->head_body);
+  raw.node = cluster::node_from_index(static_cast<int>(shard->head_index));
+  raw.body = std::make_shared<std::string>(std::move(shard->head_body));
+  raw.body_offset = shard->head_body_offset;
+  raw.context = "shard " + std::to_string(shard->header.shard_index) + ": ";
   shard->head_body.clear();
   shard->has_head = false;
   ++shard->frames_read;
   ++merged_;
-  fill_head(*shard);
+  return true;
+}
+
+bool ShardMergeReader::next_raw(std::uint64_t& node_index, std::string& body) {
+  RawFrame raw;
+  if (!next_frame(raw)) return false;
+  node_index = static_cast<std::uint64_t>(cluster::node_index(raw.node));
+  body = std::move(*raw.body);
   return true;
 }
 
 bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log) {
-  Shard* shard = min_head();
-  if (shard == nullptr) return false;
-  const std::uint64_t index = shard->head_index;
-  node = cluster::node_from_index(static_cast<int>(index));
-  std::size_t pos = 0;
-  try {
-    log = decode_node_log(shard->head_body, pos, node);
-    if (pos != shard->head_body.size())
-      throw DecodeError("node frame body size mismatch", pos);
-  } catch (const DecodeError& e) {
-    // Re-anchor the body-relative offset to the shard file position.
-    throw DecodeError("shard " + std::to_string(shard->header.shard_index) +
-                          ": node frame for " + cluster::node_name(node) +
-                          ": " + e.detail(),
-                      shard->head_offset + e.byte_offset());
-  }
-  shard->head_body.clear();
-  shard->has_head = false;
-  ++shard->frames_read;
-  ++merged_;
-  fill_head(*shard);
+  RawFrame raw;
+  if (!next_frame(raw)) return false;
+  log = decode_frame(raw);
+  node = raw.node;
   return true;
 }
 
 void ShardMergeReader::drain(RecordSink& sink) {
-  sink.begin_campaign(window_);
-  cluster::NodeId node;
-  NodeLog log;
-  while (next(node, log)) {
-    sink.begin_node(node);
-    replay_node_log(log, sink);
-    sink.end_node(node);
-  }
-  sink.end_campaign();
+  drain_frames(
+      window_, [this](RawFrame& raw) { return next_frame(raw); }, sink);
 }
 
 std::vector<ShardCursor> ShardMergeReader::cursors() const {

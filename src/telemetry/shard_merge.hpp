@@ -21,7 +21,9 @@
 // byte-identical to the monolithic stream: `merge_shard_archives` copies
 // the winning frame bodies verbatim into a single UNPS file, and `drain`
 // replays the merged frames through any RecordSink (StreamingExtractor,
-// the policy engine, StoreBuilder) with full framing.
+// the policy engine, StoreBuilder) with full framing, on the same lazy
+// frame path as ArchiveReader::drain.  A shard's next
+// frame is read only once the merge needs its head.
 //
 // The merge is resumable: `cursors()` snapshots each shard's byte offset
 // and frame count after any number of `next()` calls, and the
@@ -105,7 +107,9 @@ class ShardMergeReader {
   bool next_raw(std::uint64_t& node_index, std::string& body);
 
   /// Replay the whole (remaining) merged stream through `sink` with full
-  /// RecordSink framing.
+  /// RecordSink framing, on ArchiveReader::drain's path (drain_frames):
+  /// each merged frame arrives as one bulk on_node_log over its scanned
+  /// frame.
   void drain(RecordSink& sink);
 
   /// Resume snapshot: the position of every shard, ascending shard index.
@@ -124,12 +128,15 @@ class ShardMergeReader {
     bool done = false;
     std::uint64_t head_index = 0;
     std::uint64_t head_offset = 0;  ///< file offset of the buffered frame
+    std::uint64_t head_body_offset = 0;  ///< file offset of its body
     std::uint64_t end_offset = 0;   ///< file offset of the end frame
     std::string head_body;
   };
 
   void open_shards(const std::vector<std::string>& paths);
   void fill_head(Shard& shard);
+  /// Pop the smallest head as a raw frame; false when every shard is done.
+  bool next_frame(RawFrame& raw);
   /// Shard holding the smallest head node index, or nullptr when drained.
   Shard* min_head();
 

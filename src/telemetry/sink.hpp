@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,7 @@ namespace unp::telemetry {
 
 class NodeLog;
 class RecordSink;
+class ReplayedFrame;
 
 namespace kernels {
 struct EncodeKernels;
@@ -56,15 +58,27 @@ struct EncodeArena {
   std::vector<std::uint64_t> scratch;
 };
 
-/// A node's whole log plus its (lazily produced) UNPA body encoding.
+/// A node's whole log plus its UNPA body encoding, each produced on demand.
 ///
 /// The bulk streaming path hands one of these per node to sinks instead of
-/// replaying records one virtual call at a time.  Byte-oriented sinks
-/// (ArchiveWriter) splice `bytes()` straight into their frame — the body is
-/// encoded exactly once per node, in the producer worker when the driver
-/// pre-encodes, and never re-encoded per sink.  Record-oriented sinks
-/// (CampaignArchive, extractors) read `log()` and never pay for encoding:
-/// `bytes()` only encodes on first call.
+/// replaying records one virtual call at a time.  It comes in two forms:
+///
+///   - from a producer's NodeLog (the campaign driver, tests): `log()` is
+///     that log; `bytes()` encodes it on first call, unless the producer
+///     pre-encoded it in a worker;
+///   - from a replayed frame (ArchiveReader / ShardMergeReader drain):
+///     `bytes()` is the frame body as read; the session records are
+///     decoded and the error runs validated and counted, but `log()` builds
+///     the runs only on first call.
+///
+/// Either way a sink reads what it needs and pays for nothing else:
+/// byte-oriented sinks (ArchiveWriter) splice `bytes()`; sinks that need
+/// only counts and sessions (StreamingExtractor's deferred node,
+/// ScanProfileSink) read `raw_error_count()`, `error_run_count()` and
+/// `sessions()`, so a replayed node whose runs nobody reads is never built;
+/// record-oriented sinks (CampaignArchive, the default on_node_log) read
+/// `log()` and see exactly the records of the frame.  Valid only for the
+/// duration of the on_node_log call; `share_bytes()` outlives it.
 class EncodedNodeLog {
  public:
   /// `scratch` is caller-owned storage for the encoded body (an arena slot
@@ -80,12 +94,35 @@ class EncodedNodeLog {
         arena_(arena),
         encoded_(pre_encoded) {}
 
+  /// A replayed frame; `frame` builds its runs on the first log() call.
+  explicit EncodedNodeLog(ReplayedFrame& frame) noexcept;
+
   [[nodiscard]] cluster::NodeId node() const noexcept { return node_; }
-  [[nodiscard]] const NodeLog& log() const noexcept { return *log_; }
+
+  /// The whole log, error runs included (built now for a replayed frame
+  /// whose runs nobody has read yet).
+  [[nodiscard]] const NodeLog& log() const;
+
+  /// The node's START, END and ALLOC-FAIL records.  The error runs are
+  /// reached only through log(), and their counts through
+  /// error_run_count() / raw_error_count().
+  [[nodiscard]] SessionRecords sessions() const noexcept;
+
+  /// Error runs in the log, and the raw ERROR lines they stand for.
+  [[nodiscard]] std::size_t error_run_count() const noexcept;
+  [[nodiscard]] std::uint64_t raw_error_count() const noexcept;
+
+  /// True once the error runs exist in memory: always for a producer's
+  /// log, after the first log() call for a replayed frame.
+  [[nodiscard]] bool runs_built() const noexcept;
 
   /// The UNPA node-log body (encode_node_log bytes).  Encodes on first call,
   /// then returns the cached bytes.
   [[nodiscard]] const std::string& bytes();
+
+  /// The body with ownership, for a sink that keeps it past this call: a
+  /// replayed frame shares the bytes it read; a producer's log is copied.
+  [[nodiscard]] std::shared_ptr<const std::string> share_bytes();
 
   /// True when the log holds no records (its encoded body would still be the
   /// four zero section counts, but writers skip the frame entirely).
@@ -93,11 +130,12 @@ class EncodedNodeLog {
 
  private:
   cluster::NodeId node_;
-  const NodeLog* log_;
-  std::string* scratch_;
-  const kernels::EncodeKernels* kernels_;
-  EncodeArena* arena_;
-  bool encoded_;
+  const NodeLog* log_ = nullptr;
+  std::string* scratch_ = nullptr;
+  const kernels::EncodeKernels* kernels_ = nullptr;
+  EncodeArena* arena_ = nullptr;
+  bool encoded_ = false;
+  ReplayedFrame* frame_ = nullptr;  ///< set for a replayed frame only
 };
 
 /// Consumer of a campaign record stream.

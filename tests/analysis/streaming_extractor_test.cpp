@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/extraction.hpp"
 #include "sim/campaign.hpp"
+#include "telemetry/archive_io.hpp"
 #include "telemetry/kernels/kernels.hpp"
 #include "telemetry/sink.hpp"
 
@@ -261,6 +264,81 @@ TEST(StreamingExtractor, EmptyStreamYieldsEmptyResult) {
   EXPECT_TRUE(result.faults.empty());
   EXPECT_TRUE(result.removed_nodes.empty());
   EXPECT_EQ(result.total_raw_logs, 0u);
+}
+
+// --- Warm replay: the extractor fed by ArchiveReader::drain ----------------
+
+/// `archive` spilled as a UNPS stream.
+std::string spill(const telemetry::CampaignArchive& archive) {
+  std::ostringstream os(std::ios::binary);
+  telemetry::ArchiveWriter writer(os);
+  stream_archive_bulk(archive, writer);
+  return os.str();
+}
+
+/// Forwards to the extractor and notes, per node, whether the replayed
+/// frame's error runs existed once the extractor was done with it.
+class RunsBuiltProbe final : public telemetry::RecordSink {
+ public:
+  explicit RunsBuiltProbe(StreamingExtractor& inner) : inner_(inner) {}
+  void begin_campaign(const CampaignWindow& w) override { inner_.begin_campaign(w); }
+  void begin_node(cluster::NodeId node) override { inner_.begin_node(node); }
+  void end_node(cluster::NodeId node) override { inner_.end_node(node); }
+  void end_campaign() override { inner_.end_campaign(); }
+  void on_start(const telemetry::StartRecord& r) override { inner_.on_start(r); }
+  void on_end(const telemetry::EndRecord& r) override { inner_.on_end(r); }
+  void on_alloc_fail(const telemetry::AllocFailRecord& r) override {
+    inner_.on_alloc_fail(r);
+  }
+  void on_error_run(const telemetry::ErrorRun& r) override {
+    inner_.on_error_run(r);
+  }
+  void on_node_log(telemetry::EncodedNodeLog& enc) override {
+    inner_.on_node_log(enc);
+    built[cluster::node_index(enc.node())] = enc.runs_built();
+  }
+  std::map<int, bool> built;
+
+ private:
+  StreamingExtractor& inner_;
+};
+
+TEST(StreamingExtractor, WarmReplayNeverBuildsDeferredNodesRuns) {
+  const SyntheticCampaign c = synthetic_campaign();
+  const ExtractionResult batch = extract_faults(c.archive, c.config);
+  ASSERT_EQ(batch.removed_nodes, std::vector<cluster::NodeId>{c.loud});
+  const std::string bytes = spill(c.archive);
+  StreamingExtractor extractor(c.config);
+  RunsBuiltProbe probe(extractor);
+  std::istringstream is(bytes, std::ios::binary);
+  telemetry::ArchiveReader(is).drain(probe);
+  // Both nodes at or over pathological_min_raw are deferred as their
+  // shared body: the dropped one is never built, the kept one is decoded
+  // by finish() only.  The small node collapses in place from its runs.
+  EXPECT_FALSE(probe.built.at(cluster::node_index(c.loud)));
+  EXPECT_FALSE(probe.built.at(cluster::node_index(c.big)));
+  EXPECT_TRUE(probe.built.at(cluster::node_index(c.small)));
+  EXPECT_EQ(extractor.pending_runs(), 25u);
+  expect_identical(extractor.finish(), batch);
+}
+
+// The same on the seed-42 campaign: node 21-7, 2.27M runs that the filter
+// drops, is replayed without its runs ever being
+// built, and the result is the batch extraction's.
+TEST(StreamingExtractor, WarmReplayOfDefaultCampaignSkipsDroppedNodesRuns) {
+  const sim::CampaignResult& campaign = sim::default_campaign();
+  const ExtractionResult batch = extract_faults(campaign.archive);
+  ASSERT_EQ(batch.removed_nodes.size(), 1u);
+  const int dropped = cluster::node_index(batch.removed_nodes.front());
+  const std::string bytes = spill(campaign.archive);
+  StreamingExtractor extractor;
+  RunsBuiltProbe probe(extractor);
+  std::istringstream is(bytes, std::ios::binary);
+  telemetry::ArchiveReader(is).drain(probe);
+  EXPECT_FALSE(probe.built.at(dropped));
+  EXPECT_EQ(extractor.pending_runs(),
+            campaign.archive.log(batch.removed_nodes.front()).error_runs().size());
+  expect_identical(extractor.finish(), batch);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "common/require.hpp"
 
 namespace unp {
@@ -102,6 +106,61 @@ TEST(Iso8601, RejectsMalformed) {
   EXPECT_THROW((void)parse_iso8601("not a date"), ContractViolation);
   EXPECT_THROW((void)parse_iso8601("2015-13-01T00:00:00"), ContractViolation);
   EXPECT_THROW((void)parse_iso8601("2015-01-01"), ContractViolation);
+}
+
+// The DST rule recomputed from scratch for every instant: the civil year of
+// t in UTC, DST from 01:00 UTC on the last Sunday of March to 01:00 UTC on
+// the last Sunday of October.
+std::int64_t reference_utc_offset(TimePoint t) {
+  const int year = to_civil_utc(t).year;
+  const auto last_sunday = [year](int month) {
+    const std::int64_t last =
+        days_from_civil(month == 12 ? year + 1 : year, month == 12 ? 1 : month + 1, 1) - 1;
+    return last - weekday_from_days(last);
+  };
+  const TimePoint start = last_sunday(3) * kSecondsPerDay + kSecondsPerHour;
+  const TimePoint end = last_sunday(10) * kSecondsPerDay + kSecondsPerHour;
+  return t >= start && t < end ? 2 * kSecondsPerHour : kSecondsPerHour;
+}
+
+// utc_offset memoizes each thread's last year.  From 4 threads at once,
+// each visiting the years in its own order, it must equal the rule at
+// every hour of 1970-2100 and one second either side of every switch.
+TEST(BarcelonaClock, MemoizedOffsetMatchesRuleFromFourThreads) {
+  constexpr int kFirst = 1970;
+  constexpr int kYears = 131;  // 1970..2100; prime, so k*i mod 131 permutes
+  std::atomic<long> mismatches{0};
+  std::atomic<long> checked{0};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 4; ++k) {
+    threads.emplace_back([&, k] {
+      long bad = 0;
+      long seen = 0;
+      for (int i = 0; i < kYears; ++i) {
+        const int year = kFirst + (i * (2 * k + 1) + k) % kYears;
+        const TimePoint from = from_civil_utc({year, 1, 1, 0, 0, 0});
+        const TimePoint to = from_civil_utc({year + 1, 1, 1, 0, 0, 0});
+        for (TimePoint t = from; t < to; t += kSecondsPerHour) {
+          bad += BarcelonaClock::utc_offset(t) != reference_utc_offset(t);
+          ++seen;
+        }
+        // Around both switches of the year (their hour is on the grid).
+        for (TimePoint t = from; t < to; t += kSecondsPerHour) {
+          if (reference_utc_offset(t) == reference_utc_offset(t - 1)) continue;
+          for (const TimePoint probe : {t - 1, t, t + 1}) {
+            bad += BarcelonaClock::utc_offset(probe) !=
+                   reference_utc_offset(probe);
+            ++seen;
+          }
+        }
+      }
+      mismatches += bad;
+      checked += seen;
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(checked.load(), 4L * 131 * 8760);
 }
 
 }  // namespace

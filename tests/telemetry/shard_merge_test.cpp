@@ -113,6 +113,147 @@ TEST(ShardMerge, EmptyAndSingleRecordShardsMergeToMonolithic) {
   for (const auto& p : {p0, p1, p2}) std::remove(p.c_str());
 }
 
+TEST(ShardMerge, DrainDeliversTheMonolithicStreamOnTheFramePath) {
+  // drain goes through drain_frames like ArchiveReader::drain: re-spilling
+  // the merged frames gives the monolithic stream's bytes; a record sink
+  // sees every run.
+  const std::string p0 = write_temp("smt_d0.unph", shard_bytes(2, 0, {0, 6, 9}));
+  const std::string p1 = write_temp("smt_d1.unph", shard_bytes(2, 1, {1, 2}));
+  std::ostringstream respilled;
+  ArchiveWriter writer(respilled);
+  ShardMergeReader({p0, p1}).drain(writer);
+  EXPECT_EQ(respilled.view(), stream_bytes({0, 1, 2, 6, 9}));
+
+  CampaignArchive archive;
+  ShardMergeReader({p1, p0}).drain(archive);
+  EXPECT_EQ(archive.total_raw_errors(), 5u);
+  EXPECT_EQ(archive.log(cluster::node_from_index(9)).error_runs(),
+            std::vector<ErrorRun>{run_for_node(9)});
+  std::remove(p0.c_str());
+  std::remove(p1.c_str());
+}
+
+/// Body of node `n`'s frame in shard_bytes: its one error run.
+std::string body_for_node(int n) {
+  NodeLog log;
+  log.add_error_run(run_for_node(n));
+  return encode_node_log(log);
+}
+
+/// shard_bytes written frame by frame, so a test can corrupt a body;
+/// `body_at` receives each body's file offset.
+std::string hand_shard(std::uint32_t count, std::uint32_t index,
+                       const std::vector<std::pair<int, std::string>>& frames,
+                       std::vector<std::uint64_t>& body_at) {
+  std::ostringstream header;
+  write_shard_header(header, {count, index, kFingerprint});
+  std::string out = header.str() + "UNPS";
+  out.push_back(1);
+  put_varint(out, zigzag_encode(kWindow.start));
+  put_varint(out, zigzag_encode(kWindow.end));
+  for (const auto& [n, body] : frames) {
+    put_varint(out, static_cast<std::uint64_t>(n));
+    put_varint(out, body.size());
+    body_at.push_back(out.size());
+    out += body;
+  }
+  put_varint(out, static_cast<std::uint64_t>(cluster::kStudyNodeSlots));
+  put_varint(out, frames.size());
+  return out;
+}
+
+/// The order in which a drain opens node frames.
+class NodeOrderSink final : public RecordSink {
+ public:
+  void begin_node(cluster::NodeId node) override {
+    nodes.push_back(cluster::node_index(node));
+  }
+  void on_start(const StartRecord&) override {}
+  void on_end(const EndRecord&) override {}
+  void on_alloc_fail(const AllocFailRecord&) override {}
+  void on_error_run(const ErrorRun&) override {}
+
+  std::vector<int> nodes;
+};
+
+TEST(ShardMerge, CorruptBodyFailsAtItsFileOffsetThroughNextAndDrain) {
+  // Shard 1's second frame (node 3) is damaged.  A body decode error is
+  // anchored at the body's file offset plus the offset inside the body;
+  // the merge reads a shard's next frame only when it needs that head, so
+  // a truncated body surfaces before node 2 is handed out, a corrupt one
+  // after it.
+  std::vector<std::uint64_t> body_at;
+  const std::string intact = hand_shard(
+      2, 1, {{1, body_for_node(1)}, {3, body_for_node(3)}}, body_at);
+  ASSERT_EQ(intact, shard_bytes(2, 1, {1, 3}));
+  const std::uint64_t body3 = body_at[1];
+  const std::size_t size3 = body_for_node(3).size();
+  const std::string node3 = cluster::node_name(cluster::node_from_index(3));
+
+  struct Case {
+    const char* name;
+    std::string shard1;
+    std::string error;
+    std::uint64_t offset;
+    std::vector<int> delivered;
+  };
+  std::vector<Case> cases;
+  {
+    std::vector<std::uint64_t> unused;
+    std::string zero = body_for_node(3);
+    zero.back() = 0;  // the run's count
+    cases.push_back({"zero-count run",
+                     hand_shard(2, 1, {{1, body_for_node(1)}, {3, zero}}, unused),
+                     "shard 1: node frame for " + node3 +
+                         ": error run with zero count",
+                     body3 + size3, {0, 1, 2}});
+    std::string trailing = body_for_node(3);
+    trailing.push_back(0);
+    cases.push_back(
+        {"trailing bytes",
+         hand_shard(2, 1, {{1, body_for_node(1)}, {3, trailing}}, unused),
+         "shard 1: node frame body size mismatch", body3 + size3, {0, 1, 2}});
+  }
+  cases.push_back({"truncated body",
+                   intact.substr(0, static_cast<std::size_t>(body3) + size3 / 2),
+                   "shard 1: truncated block (wanted " + std::to_string(size3) +
+                       " bytes, got " + std::to_string(size3 / 2) + ")",
+                   body3, {0, 1}});
+
+  const std::string p0 = write_temp("smt_c0.unph", shard_bytes(2, 0, {0, 2, 4}));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string p1 = write_temp("smt_c1.unph", c.shard1);
+    {
+      ShardMergeReader reader({p0, p1});
+      std::vector<int> seen;
+      try {
+        cluster::NodeId node;
+        NodeLog log;
+        while (reader.next(node, log)) seen.push_back(cluster::node_index(node));
+        FAIL() << "corrupt shard not detected by next()";
+      } catch (const DecodeError& e) {
+        EXPECT_EQ(e.detail(), c.error);
+        EXPECT_EQ(e.byte_offset(), c.offset);
+      }
+      EXPECT_EQ(seen, c.delivered);
+    }
+    {
+      NodeOrderSink sink;
+      try {
+        ShardMergeReader({p0, p1}).drain(sink);
+        FAIL() << "corrupt shard not detected by drain()";
+      } catch (const DecodeError& e) {
+        EXPECT_EQ(e.detail(), c.error);
+        EXPECT_EQ(e.byte_offset(), c.offset);
+      }
+      EXPECT_EQ(sink.nodes, c.delivered);
+    }
+    std::remove(p1.c_str());
+  }
+  std::remove(p0.c_str());
+}
+
 TEST(ShardMerge, AllShardsEmptyYieldsEmptyMonolithicStream) {
   const std::string p0 = write_temp("smt_ae0.unph", shard_bytes(2, 0, {}));
   const std::string p1 = write_temp("smt_ae1.unph", shard_bytes(2, 1, {}));
